@@ -71,7 +71,8 @@ struct ServeOptions {
   core::PeekOptions peek;
   ArtifactCache::Options cache;
   /// A miss for K prunes with max(K, k_budget_floor) rounded up to a power
-  /// of two, so the snapshot serves larger follow-up Ks without re-pruning.
+  /// of two (capped at INT_MAX), so the snapshot serves larger follow-up Ks
+  /// without re-pruning.
   int k_budget_floor = 32;
   bool cache_trees = true;
   bool cache_snapshots = true;
