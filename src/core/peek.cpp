@@ -117,7 +117,20 @@ PeekResult peek_with_algorithm(const graph::CsrGraph& g, vid_t s, vid_t t,
     finalize();
   };
 
-  switch (opts.compaction) {
+  // kAdaptive is the §5.4 rule choosing between the two concrete
+  // strategies; its count is part of the compaction stage's time.
+  auto mode = opts.compaction;
+  if (mode == PeekOptions::Compaction::kAdaptive) {
+    const eid_t m_r = compact::count_remaining_edges(
+        sssp::GraphView(g), keep, edge_keep, opts.parallel);
+    result.kept_edges = m_r;
+    mode = compact::choose_strategy(m_r, m_original, opts.alpha) ==
+                   compact::Strategy::kRegeneration
+               ? PeekOptions::Compaction::kRegeneration
+               : PeekOptions::Compaction::kEdgeSwap;
+  }
+
+  switch (mode) {
     case PeekOptions::Compaction::kStatusArray: {
       compact::StatusArrayGraph sa(g);
       result.kept_edges = sa.apply(keep, edge_keep, opts.parallel);
@@ -126,6 +139,7 @@ PeekResult peek_with_algorithm(const graph::CsrGraph& g, vid_t s, vid_t t,
       run_ksp(sa.biview(), s, t, nullptr);
       break;
     }
+    case PeekOptions::Compaction::kAdaptive:  // resolved above
     case PeekOptions::Compaction::kEdgeSwap: {
       compact::MutableCsr mc(g);
       const eid_t kept_edges = compact::edge_swap_compact(
@@ -155,40 +169,6 @@ PeekResult peek_with_algorithm(const graph::CsrGraph& g, vid_t s, vid_t t,
       const vid_t cs = regen.map.to_new(s), ct = regen.map.to_new(t);
       if (cs == kNoVertex || ct == kNoVertex) break;
       run_ksp(sssp::BiView::of(regen.graph), cs, ct, &regen.map);
-      break;
-    }
-    case PeekOptions::Compaction::kAdaptive: {
-      const eid_t m_r = compact::count_remaining_edges(
-          sssp::GraphView(g), keep, edge_keep, opts.parallel);
-      result.kept_edges = m_r;
-      const compact::Strategy strat =
-          compact::choose_strategy(m_r, m_original, opts.alpha);
-      result.strategy_used = strat;
-      if (strat == compact::Strategy::kRegeneration) {
-        auto regen = compact::regenerate(
-            sssp::GraphView(g), keep, edge_keep,
-            {.parallel = opts.parallel, .cancel = opts.cancel});
-        if (regen.status != fault::Status::kOk) {
-          abort_compact(regen.status);
-          return result;
-        }
-        result.compact_seconds = seconds_since(t1);
-        const vid_t cs = regen.map.to_new(s), ct = regen.map.to_new(t);
-        if (cs == kNoVertex || ct == kNoVertex) break;
-        run_ksp(sssp::BiView::of(regen.graph), cs, ct, &regen.map);
-      } else {
-        compact::MutableCsr mc(g);
-        const eid_t kept_edges = compact::edge_swap_compact(
-            mc, keep, edge_keep,
-            {.parallel = opts.parallel, .cancel = opts.cancel});
-        if (kept_edges == compact::kEdgeSwapCancelled) {
-          abort_compact(poll.should_stop() ? poll.why()
-                                           : fault::Status::kCancelled);
-          return result;
-        }
-        result.compact_seconds = seconds_since(t1);
-        run_ksp(mc.biview(), s, t, nullptr);
-      }
       break;
     }
   }

@@ -5,7 +5,6 @@
 #include "ksp/yen_engine.hpp"
 #include "sssp/delta_stepping.hpp"
 #include "sssp/dijkstra.hpp"
-#include "sssp/scratch.hpp"
 
 namespace peek::ksp {
 
@@ -69,10 +68,6 @@ KspResult nc_ksp(const BiView& g, vid_t s, vid_t t, const KspOptions& opts) {
 
   ColorState colors(rtree, g.fwd.num_vertices());
 
-  // NC runs its solver serially (the on_path_accepted hook disables the
-  // engine's outer-level parallelism), so one scratch covers every worker.
-  std::vector<sssp::SsspScratch> scratch(detail::solver_workers(opts));
-
   detail::EngineHooks hooks;
   hooks.on_path_accepted = [&](const sssp::Path& p, int dev_index) {
     colors.reset();
@@ -126,15 +121,11 @@ KspResult nc_ksp(const BiView& g, vid_t s, vid_t t, const KspOptions& opts) {
     sssp::DijkstraOptions dj;
     dj.target = t;
     dj.bans = bans;
-    if (opts.scratch_arena)
-      return sssp::dijkstra_path(g.fwd, v, dj,
-                                 scratch[detail::worker_slot(opts)]);
     auto r = sssp::dijkstra(g.fwd, v, dj);
     return sssp::path_from_parents(r, v, t);
   };
 
   KspResult result = detail::run_yen_engine(g.fwd, s, t, opts, solver, hooks);
-  detail::count_arena_reuse(scratch);
   result.stats.sssp_calls = sssp_calls;
   result.stats.tree_shortcuts = shortcuts;
   return result;

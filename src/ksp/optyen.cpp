@@ -6,7 +6,6 @@
 #include "obs/metrics.hpp"
 #include "sssp/delta_stepping.hpp"
 #include "sssp/dijkstra.hpp"
-#include "sssp/scratch.hpp"
 
 namespace peek::ksp {
 
@@ -92,10 +91,6 @@ KspResult optyen_ksp(const BiView& g, vid_t s, vid_t t, const KspOptions& opts) 
     return result;
   }
 
-  // One arena-backed SSSP scratch per worker: the serial Dijkstra fallback
-  // reuses dist/parent across candidates instead of allocating per call.
-  std::vector<sssp::SsspScratch> scratch(detail::solver_workers(opts));
-
   detail::DeviationSolver solver = [&](const DeviationContext& ctx) {
     sssp::Path fast = tree_shortcut(g.fwd, rtree, t, ctx);
     if (!fast.empty()) {
@@ -121,21 +116,12 @@ KspResult optyen_ksp(const BiView& g, vid_t s, vid_t t, const KspOptions& opts) 
     dj.target = t;
     dj.bans = bans;
     dj.cancel = opts.cancel;
-    if (opts.scratch_arena) {
-      fault::Status::Code st = fault::Status::kOk;
-      sssp::Path suffix = sssp::dijkstra_path(
-          g.fwd, ctx.deviation_vertex, dj, scratch[detail::worker_slot(opts)],
-          &st);
-      if (st != fault::Status::kOk) return sssp::Path{};
-      return suffix;
-    }
     auto r = sssp::dijkstra(g.fwd, ctx.deviation_vertex, dj);
     if (r.status != fault::Status::kOk) return sssp::Path{};
     return sssp::path_from_parents(r, ctx.deviation_vertex, t);
   };
 
   KspResult result = detail::run_yen_engine(g.fwd, s, t, opts, solver);
-  detail::count_arena_reuse(scratch);
   result.stats.sssp_calls = sssp_calls.load();
   result.stats.tree_shortcuts = shortcuts.load();
   PEEK_COUNT_ADD("ksp.deviation_sssp_calls", result.stats.sssp_calls);

@@ -86,11 +86,6 @@ struct KspOptions {
   bool parallel = false;
   /// Δ-stepping bucket width when parallel (<=0 auto).
   weight_t delta = 0;
-  /// Serve serial deviation SSSPs from a per-worker arena-backed scratch
-  /// (sssp/scratch.hpp) instead of allocating fresh dist/parent buffers per
-  /// candidate. Results are bit-identical either way; off exists for the
-  /// canonical bench's before/after measurement.
-  bool scratch_arena = true;
   /// Cooperative cancellation: checked at round boundaries and threaded into
   /// every deviation SSSP. Null = never cancelled.
   const fault::CancelToken* cancel = nullptr;

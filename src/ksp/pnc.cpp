@@ -5,7 +5,6 @@
 
 #include "ksp/yen_engine.hpp"
 #include "sssp/dijkstra.hpp"
-#include "sssp/scratch.hpp"
 
 namespace peek::ksp {
 
@@ -83,9 +82,6 @@ KspResult pnc_ksp(const BiView& g, vid_t s, vid_t t, const PncOptions& opts) {
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pool;
   std::unordered_set<sssp::Path, sssp::PathHash> seen;
   std::vector<std::uint8_t> mask(static_cast<size_t>(n), 0);
-  // PNC repairs tentative entries serially — one arena-backed scratch reuses
-  // dist/parent across every repair SSSP.
-  std::vector<sssp::SsspScratch> repair_scratch(1);
   accepted.push_back({first, 0});
   seen.insert(first);
 
@@ -203,13 +199,8 @@ KspResult pnc_ksp(const BiView& g, vid_t s, vid_t t, const PncOptions& opts) {
       dj.target = t;
       dj.bans = {mask.data(), &banned};
       result.stats.sssp_calls++;
-      sssp::Path suffix;
-      if (opts.base.scratch_arena) {
-        suffix = sssp::dijkstra_path(g.fwd, v, dj, repair_scratch[0]);
-      } else {
-        auto r = sssp::dijkstra(g.fwd, v, dj);
-        suffix = sssp::path_from_parents(r, v, t);
-      }
+      auto r = sssp::dijkstra(g.fwd, v, dj);
+      sssp::Path suffix = sssp::path_from_parents(r, v, t);
       for (int j = 0; j < i; ++j)
         mask[top.prefix[static_cast<size_t>(j)]] = 0;
       if (suffix.empty()) continue;
@@ -231,7 +222,6 @@ KspResult pnc_ksp(const BiView& g, vid_t s, vid_t t, const PncOptions& opts) {
 
   result.paths.reserve(accepted.size());
   for (Candidate& c : accepted) result.paths.push_back(std::move(c.path));
-  detail::count_arena_reuse(repair_scratch);
   return result;
 }
 

@@ -8,7 +8,6 @@
 #include "ksp/yen_engine.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/resumable_dijkstra.hpp"
-#include "sssp/scratch.hpp"
 
 namespace peek::ksp {
 
@@ -66,9 +65,6 @@ struct SidetrackRun {
   const SidetrackOptions& opts;
   TreePool pool;
   std::vector<std::uint8_t> mask;  // scratch vertex-ban mask
-  /// Arena-backed scratch for the serial Yen-fallback repair SSSPs (one
-  /// element — SB/SB* run single-threaded).
-  std::vector<sssp::SsspScratch> repair_scratch{1};
   KspStats stats;
 
   SidetrackRun(const BiView& bg, vid_t src, vid_t tgt,
@@ -195,12 +191,8 @@ KspResult sb_ksp(const BiView& g, vid_t s, vid_t t,
           sssp::DijkstraOptions dj;
           dj.target = t;
           dj.bans = {run.mask.data(), &banned};
-          if (opts.base.scratch_arena) {
-            suffix = sssp::dijkstra_path(g.fwd, v, dj, run.repair_scratch[0]);
-          } else {
-            auto r = sssp::dijkstra(g.fwd, v, dj);
-            suffix = sssp::path_from_parents(r, v, t);
-          }
+          auto r = sssp::dijkstra(g.fwd, v, dj);
+          suffix = sssp::path_from_parents(r, v, t);
         }
       }
       for (int j = 0; j < i; ++j) run.mask[p[static_cast<size_t>(j)]] = 0;
@@ -225,7 +217,6 @@ KspResult sb_ksp(const BiView& g, vid_t s, vid_t t,
   run.stats.candidates_generated = static_cast<int>(cands.total_generated());
   run.stats.trees_stored = run.pool.peak();
   result.stats = run.stats;
-  detail::count_arena_reuse(run.repair_scratch);
   return result;
 }
 

@@ -6,16 +6,11 @@
 #include "obs/metrics.hpp"
 #include "sssp/delta_stepping.hpp"
 #include "sssp/dijkstra.hpp"
-#include "sssp/scratch.hpp"
 
 namespace peek::ksp {
 
 KspResult yen_ksp(const BiView& g, vid_t s, vid_t t, const KspOptions& opts) {
   std::atomic<int> sssp_calls{0};
-
-  // One arena-backed SSSP scratch per worker: the serial Dijkstra branch
-  // reuses dist/parent across candidates instead of allocating per call.
-  std::vector<sssp::SsspScratch> scratch(detail::solver_workers(opts));
 
   detail::DeviationSolver solver = [&](const detail::DeviationContext& ctx) {
     sssp_calls.fetch_add(1, std::memory_order_relaxed);
@@ -36,20 +31,14 @@ KspResult yen_ksp(const BiView& g, vid_t s, vid_t t, const KspOptions& opts) {
       sssp::DijkstraOptions dj;
       dj.target = t;
       dj.bans = bans;
-      if (opts.scratch_arena) {
-        suffix = sssp::dijkstra_path(g.fwd, ctx.deviation_vertex, dj,
-                                     scratch[detail::worker_slot(opts)]);
-      } else {
-        auto r = sssp::dijkstra(g.fwd, ctx.deviation_vertex, dj);
-        suffix = sssp::path_from_parents(r, ctx.deviation_vertex, t);
-      }
+      auto r = sssp::dijkstra(g.fwd, ctx.deviation_vertex, dj);
+      suffix = sssp::path_from_parents(r, ctx.deviation_vertex, t);
     }
     return suffix;
   };
 
   KspResult result = detail::run_yen_engine(g.fwd, s, t, opts, solver);
   result.stats.sssp_calls = sssp_calls.load();
-  detail::count_arena_reuse(scratch);
   return result;
 }
 

@@ -18,21 +18,6 @@ std::vector<weight_t> cumulative_distances(const GraphView& fwd,
   return cum;
 }
 
-int solver_workers(const KspOptions& opts) {
-  return opts.parallel ? par::max_threads() : 1;
-}
-
-std::size_t worker_slot(const KspOptions& opts) {
-  return opts.parallel ? static_cast<std::size_t>(par::thread_id()) : 0;
-}
-
-void count_arena_reuse(const std::vector<sssp::SsspScratch>& scratch) {
-  std::size_t bytes = 0;
-  for (const auto& sc : scratch) bytes += sc.reused_bytes();
-  if (bytes > 0)
-    PEEK_COUNT_ADD("ksp.arena.reuse_bytes", static_cast<std::int64_t>(bytes));
-}
-
 std::unordered_set<eid_t> banned_edges_at(const GraphView& fwd,
                                           const std::vector<Candidate>& accepted,
                                           const std::vector<vid_t>& p, int i) {

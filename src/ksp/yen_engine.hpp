@@ -10,7 +10,7 @@
 #include <functional>
 
 #include "ksp/path_set.hpp"
-#include "sssp/scratch.hpp"
+#include "sssp/path.hpp"
 #include "sssp/view.hpp"
 
 namespace peek::ksp::detail {
@@ -51,18 +51,6 @@ std::unordered_set<eid_t> banned_edges_at(const GraphView& fwd,
 /// Cumulative distance along `verts` (cum[i] = distance of verts[0..i]).
 std::vector<weight_t> cumulative_distances(const GraphView& fwd,
                                            const std::vector<vid_t>& verts);
-
-/// Sizing/indexing for per-worker solver scratch (SSSP arenas, ban masks):
-/// identical to the engine's own per-thread buffers, so a solver indexing
-/// `scratch[worker_slot(opts)]` is race-free under the engine's outer-level
-/// parallelism (serial mode always uses slot 0, even inside an enclosing
-/// parallel region — see the thread_id() note in run_yen_engine).
-int solver_workers(const KspOptions& opts);
-std::size_t worker_slot(const KspOptions& opts);
-
-/// Folds every worker scratch's reuse into the `ksp.arena.reuse_bytes`
-/// counter — call once per KSP run, after the engine returns.
-void count_arena_reuse(const std::vector<sssp::SsspScratch>& scratch);
 
 /// Runs the full KSP loop. `fwd` is the forward view of the (possibly
 /// compacted) graph. When `opts.parallel`, deviations of each accepted path

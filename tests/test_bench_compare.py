@@ -44,7 +44,7 @@ def make_doc(**overrides):
         ],
         "metrics": {
             "sssp.dijkstra.R21": {"median_s": 0.010, "min_s": 0.009, "reps": 3},
-            "ksp.arena.R21": {"median_s": 0.020, "min_s": 0.019, "reps": 3},
+            "ksp.yen.R21": {"median_s": 0.020, "min_s": 0.019, "reps": 3},
         },
     }
     doc.update(overrides)
@@ -90,7 +90,7 @@ class BenchCompareTest(unittest.TestCase):
         base = make_doc()
         cand = copy.deepcopy(base)
         cand["metrics"]["sssp.dijkstra.R21"]["median_s"] = 0.005  # -50%
-        cand["metrics"]["ksp.arena.R21"]["median_s"] = 0.022  # +10% < 25%
+        cand["metrics"]["ksp.yen.R21"]["median_s"] = 0.022  # +10% < 25%
         r = self.run_compare(
             self.write("b.json", base),
             self.write("c.json", cand),
@@ -103,7 +103,7 @@ class BenchCompareTest(unittest.TestCase):
     def test_missing_metric_fails(self):
         base = make_doc()
         cand = copy.deepcopy(base)
-        del cand["metrics"]["ksp.arena.R21"]
+        del cand["metrics"]["ksp.yen.R21"]
         r = self.run_compare(
             self.write("b.json", base),
             self.write("c.json", cand),

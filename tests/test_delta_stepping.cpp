@@ -82,12 +82,28 @@ TEST(DeltaStepping, RespectsBans) {
 }
 
 TEST(DeltaStepping, EarlyExitTargetSettled) {
-  auto g = graph::grid(15, 15, {graph::WeightKind::kUniform01, 4});
-  DeltaSteppingOptions opts;
-  opts.target = 224;
-  auto early = delta_stepping(GraphView(g), 0, opts);
-  auto full = dijkstra(GraphView(g), 0);
-  EXPECT_NEAR(early.dist[224], full.dist[224], 1e-9);
+  // Parallel phases plus early exit, on a grid and on uniform and
+  // hub-heavy (R-MAT) digraphs: the target's distance is final, and so is
+  // its tree path.
+  const graph::CsrGraph graphs[] = {
+      graph::grid(15, 15, {graph::WeightKind::kUniform01, 4}),
+      test::random_graph(400, 3200, 21),
+      graph::rmat(9, 8, {graph::WeightKind::kUniform01, 22}, 22)};
+  for (const auto& g : graphs) {
+    auto full = dijkstra(GraphView(g), 0);
+    for (vid_t t : {7, 100, 224}) {
+      DeltaSteppingOptions opts;
+      opts.target = t;
+      auto early = delta_stepping(GraphView(g), 0, opts);
+      if (full.dist[t] == kInfDist) {
+        EXPECT_EQ(early.dist[t], kInfDist) << "t=" << t;
+        continue;
+      }
+      EXPECT_NEAR(early.dist[t], full.dist[t], 1e-9) << "t=" << t;
+      const Path p = path_from_parents(early, 0, t);
+      EXPECT_NEAR(path_distance(g, p.verts), full.dist[t], 1e-9) << "t=" << t;
+    }
+  }
 }
 
 TEST(DeltaStepping, ParentsFormTree) {

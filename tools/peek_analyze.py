@@ -66,7 +66,6 @@ HEAVY_CALLEES = (
     "dijkstra",                # covers dijkstra / reverse_dijkstra
     "delta_stepping",          # covers reverse_delta_stepping
     "bellman_ford",
-    "bidirectional_dijkstra",
     "run_to_completion",
     "compute_sssp",
     "peek_ksp",
