@@ -1,24 +1,13 @@
-// Micro-benchmarks of the parallel primitives (prefix sum, sort, transpose,
-// sort permutation) backing the pruning and compaction stages.
+// Micro-benchmarks of the parallel primitives (prefix sum, transpose) backing
+// the pruning and compaction stages.
 #include <benchmark/benchmark.h>
-
-#include <random>
 
 #include "bench_common.hpp"
 #include "parallel/prefix_sum.hpp"
-#include "parallel/sort.hpp"
 
 namespace {
 
 using namespace peek;
-
-std::vector<double> random_doubles(size_t n) {
-  std::mt19937_64 rng(3);
-  std::uniform_real_distribution<double> d(0, 1);
-  std::vector<double> v(n);
-  for (auto& x : v) x = d(rng);
-  return v;
-}
 
 void BM_ExclusivePrefixSum(benchmark::State& state) {
   std::vector<std::int64_t> in(static_cast<size_t>(state.range(0)), 3);
@@ -29,27 +18,6 @@ void BM_ExclusivePrefixSum(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExclusivePrefixSum)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
-
-void BM_ParallelSort(benchmark::State& state) {
-  auto base = random_doubles(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto v = base;
-    state.ResumeTiming();
-    par::parallel_sort(v.begin(), v.end());
-    benchmark::DoNotOptimize(v.data());
-  }
-}
-BENCHMARK(BM_ParallelSort)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
-
-void BM_SortPermutation(benchmark::State& state) {
-  auto keys = random_doubles(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto p = par::sort_permutation(keys);
-    benchmark::DoNotOptimize(p.data());
-  }
-}
-BENCHMARK(BM_SortPermutation)->Arg(1 << 12)->Arg(1 << 16);
 
 void BM_Transpose(benchmark::State& state) {
   static graph::CsrGraph g = bench::twitter_like(11);

@@ -33,24 +33,31 @@ PeekResult peek_with_algorithm(const graph::CsrGraph& g, vid_t s, vid_t t,
   // Invoked on every exit path: mirrors the per-stage wall times and kept
   // ratios into the registry and (on request) attaches the snapshot.
   auto finalize = [&]() {
+    PEEK_COUNT_INC("peek.runs");
     if constexpr (obs::kEnabled) {
-      auto& reg = obs::MetricsRegistry::global();
-      reg.counter("peek.runs").inc();
+      // Looked up once, like the hook macros' handles.
+      static obs::Timer& prune_timer =
+          obs::MetricsRegistry::global().timer("peek.prune");
+      static obs::Timer& compact_timer =
+          obs::MetricsRegistry::global().timer("peek.compact");
+      static obs::Timer& ksp_timer =
+          obs::MetricsRegistry::global().timer("peek.ksp");
       auto to_ns = [](double s2) {
         return static_cast<std::int64_t>(s2 * 1e9);
       };
-      reg.timer("peek.prune").add_nanos(to_ns(result.prune_seconds));
-      reg.timer("peek.compact").add_nanos(to_ns(result.compact_seconds));
-      reg.timer("peek.ksp").add_nanos(to_ns(result.ksp_seconds));
-      if (g.num_vertices() > 0) {
-        reg.gauge("peek.kept_vertex_ratio")
-            .set(static_cast<double>(result.kept_vertices) / g.num_vertices());
-      }
-      if (m_original > 0) {
-        reg.gauge("peek.kept_edge_ratio")
-            .set(static_cast<double>(result.kept_edges) /
-                 static_cast<double>(m_original));
-      }
+      prune_timer.add_nanos(to_ns(result.prune_seconds));
+      compact_timer.add_nanos(to_ns(result.compact_seconds));
+      ksp_timer.add_nanos(to_ns(result.ksp_seconds));
+    }
+    if (g.num_vertices() > 0) {
+      PEEK_GAUGE_SET("peek.kept_vertex_ratio",
+                     static_cast<double>(result.kept_vertices) /
+                         g.num_vertices());
+    }
+    if (m_original > 0) {
+      PEEK_GAUGE_SET("peek.kept_edge_ratio",
+                     static_cast<double>(result.kept_edges) /
+                         static_cast<double>(m_original));
     }
     if (opts.collect_metrics) {
       result.metrics = obs::MetricsRegistry::global().snapshot();

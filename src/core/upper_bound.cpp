@@ -1,13 +1,15 @@
 #include "core/upper_bound.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <unordered_set>
+#include <utility>
 
 #include "fault/injector.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/parallel_for.hpp"
-#include "parallel/sort.hpp"
 #include "sssp/delta_stepping.hpp"
 #include "sssp/dijkstra.hpp"
 
@@ -76,19 +78,27 @@ PruneResult prune_impl(const CsrGraph& g, vid_t s, vid_t t,
   if (opts.parallel) par::parallel_for(vid_t{0}, n, sum_body);
   else for (vid_t v = 0; v < n; ++v) sum_body(v);
 
-  // Step 3: identify b — walk vertices in increasing dist order, keep the
-  // K-th valid, distinct combined path (lines 5-9). kInfDist sorts last.
+  // Step 3: identify b — walk vertices in increasing (dist, id) order, keep
+  // the K-th valid, distinct combined path (lines 5-9). The walk stops after
+  // K + λ vertices, so it pops a min-heap of the reachable vertices, built in
+  // O(n), instead of sorting all n as §6.2 does.
   weight_t b = kInfDist;
   {
     PEEK_TIMER_SCOPE("prune.scan");
     PEEK_FAULT_STALL("prune.scan.stall");
     fault::CancelPoll poll(opts.cancel);
-    const std::vector<vid_t> order = par::sort_permutation(dist);
+    std::vector<std::pair<weight_t, vid_t>> heap;
+    for (vid_t v = 0; v < n; ++v) {
+      if (dist[v] != kInfDist) heap.emplace_back(dist[v], v);
+    }
+    std::make_heap(heap.begin(), heap.end(), std::greater<>{});
     std::unordered_set<sssp::Path, sssp::PathHash> distinct;
     int valid = 0;
     std::int64_t non_simple = 0, duplicates = 0;
-    for (vid_t v : order) {
-      if (dist[v] == kInfDist) break;  // only unreachable remain
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+      const vid_t v = heap.back().second;
+      heap.pop_back();
       if (poll.should_stop()) {
         r.status = poll.why();
         return r;

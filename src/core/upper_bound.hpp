@@ -20,8 +20,8 @@ using graph::CsrGraph;
 
 struct PruneOptions {
   int k = 8;
-  /// Data-parallel pruning (§6.1): Δ-stepping SSSPs, parallel sort, parallel
-  /// distance-sum.
+  /// Data-parallel pruning (§6.1): Δ-stepping SSSPs, parallel distance sums
+  /// and keep mask. The Step 3 scan is serial in both modes.
   bool parallel = false;
   weight_t delta = 0;  // Δ-stepping bucket width (<=0 auto)
   /// Extension beyond the paper's Algorithm 2 line 13 (`w(e) > b`): also

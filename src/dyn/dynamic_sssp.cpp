@@ -1,6 +1,6 @@
 #include "dyn/dynamic_sssp.hpp"
 
-#include <queue>
+#include "sssp/heap.hpp"
 
 namespace peek::dyn {
 
@@ -12,25 +12,18 @@ sssp::SsspResult dynamic_dijkstra(const DynamicGraph& g, vid_t source,
   r.parent.assign(static_cast<size_t>(n), kNoVertex);
   if (source < 0 || source >= n || !g.vertex_alive(source)) return r;
 
-  struct Entry {
-    weight_t d;
-    vid_t v;
-    bool operator>(const Entry& o) const { return d > o.d; }
-  };
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  sssp::IndexedHeap heap(n);
   r.dist[source] = 0;
-  heap.push({0, source});
+  heap.push_or_decrease(source, 0);
   while (!heap.empty()) {
-    const auto [d, u] = heap.top();
-    heap.pop();
-    if (d > r.dist[u]) continue;
+    const auto [d, u] = heap.pop();
     if (u == target) break;
     g.for_each_neighbor(u, [&](vid_t v, weight_t w) {
       const weight_t nd = d + w;
       if (nd < r.dist[v]) {
         r.dist[v] = nd;
         r.parent[v] = u;
-        heap.push({nd, v});
+        heap.push_or_decrease(v, nd);
       }
     });
   }

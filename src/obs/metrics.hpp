@@ -161,8 +161,10 @@ class MetricsRegistry {
 }  // namespace peek::obs
 
 // Hook macros — the only spelling instrumentation sites should use. Each
-// expands to a function-local static lookup (one mutex hit ever) plus the
-// cheap sharded update, or to nothing under PEEK_OBS=OFF.
+// (counter, gauge and timer span alike) expands to a function-local static
+// lookup — one registry mutex hit per hook site, ever — plus the cheap
+// sharded update, or to nothing under PEEK_OBS=OFF. Names must be literals:
+// a site caches the metric its first call named.
 #if PEEK_OBS_ENABLED
 
 #define PEEK_OBS_CONCAT_IMPL(a, b) a##b
@@ -184,11 +186,15 @@ class MetricsRegistry {
     peek_obs_gauge_ref_.set(static_cast<double>(v));       \
   } while (0)
 
-/// Declares an RAII span covering the rest of the enclosing scope.
-#define PEEK_TIMER_SCOPE(name)                                    \
-  ::peek::obs::ScopedTimer PEEK_OBS_CONCAT(peek_obs_span_,        \
-                                           __LINE__)(             \
-      ::peek::obs::MetricsRegistry::global().timer(name))
+/// Declares an RAII span covering the rest of the enclosing scope. Two
+/// statements (the cached timer, then the span), so it cannot be the body of
+/// an unbraced if/for.
+#define PEEK_TIMER_SCOPE(name)                                       \
+  static ::peek::obs::Timer& PEEK_OBS_CONCAT(peek_obs_timer_,        \
+                                             __LINE__) =             \
+      ::peek::obs::MetricsRegistry::global().timer(name);            \
+  ::peek::obs::ScopedTimer PEEK_OBS_CONCAT(peek_obs_span_, __LINE__)( \
+      PEEK_OBS_CONCAT(peek_obs_timer_, __LINE__))
 
 #else  // PEEK_OBS_ENABLED
 

@@ -53,7 +53,8 @@ ArtifactCache::ArtifactCache(const Options& opts) {
 }
 
 std::shared_ptr<void> ArtifactCache::get(const Key& k,
-                                         std::uint64_t generation) {
+                                         std::uint64_t generation,
+                                         std::uint64_t* epoch) {
   Shard& sh = shard_for(k);
   check::MutexLock lock(sh.mu);
   auto it = sh.index.find(k);
@@ -72,6 +73,7 @@ std::shared_ptr<void> ArtifactCache::get(const Key& k,
   }
   sh.lru.splice(sh.lru.begin(), sh.lru, it->second);  // touch
   PEEK_COUNT_INC("serve.cache.hits");
+  if (epoch != nullptr) *epoch = it->second->epoch;
   return it->second->value;
 }
 
@@ -123,8 +125,8 @@ bool ArtifactCache::put_tree(ArtifactKind kind, vid_t v,
 }
 
 std::shared_ptr<PrunedSnapshot> ArtifactCache::get_snapshot(
-    vid_t s, vid_t t, std::uint64_t generation) {
-  auto p = get(Key{ArtifactKind::kSnapshot, s, t}, generation);
+    vid_t s, vid_t t, std::uint64_t generation, std::uint64_t* epoch) {
+  auto p = get(Key{ArtifactKind::kSnapshot, s, t}, generation, epoch);
   return std::static_pointer_cast<PrunedSnapshot>(p);
 }
 

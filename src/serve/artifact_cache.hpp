@@ -129,9 +129,12 @@ class ArtifactCache {
 
   /// Cached pipeline snapshot for the (s, t) pair. The returned pointer
   /// stays valid (shared ownership) even if the entry is evicted while the
-  /// caller extends its stream.
+  /// caller extends its stream. On a hit, a non-null `epoch` receives the
+  /// entry's region stamp, read under the same shard lock as the entry (a
+  /// later epoch_of call could already see a replacement entry).
   std::shared_ptr<PrunedSnapshot> get_snapshot(vid_t s, vid_t t,
-                                               std::uint64_t generation);
+                                               std::uint64_t generation,
+                                               std::uint64_t* epoch = nullptr);
   bool put_snapshot(vid_t s, vid_t t, std::shared_ptr<PrunedSnapshot> snap,
                     std::uint64_t generation, std::uint64_t epoch = 0);
 
@@ -221,7 +224,8 @@ class ArtifactCache {
   Shard& shard_for(const Key& k) {
     return *shards_[KeyHash{}(k) & shard_mask_];
   }
-  std::shared_ptr<void> get(const Key& k, std::uint64_t generation);
+  std::shared_ptr<void> get(const Key& k, std::uint64_t generation,
+                            std::uint64_t* epoch = nullptr);
   bool put(const Key& k, std::shared_ptr<void> value, std::size_t bytes,
            std::uint64_t generation, std::uint64_t epoch);
 

@@ -405,10 +405,17 @@ void QueryEngine::reset_epoch(std::uint64_t epoch) {
     check::MutexLock rlock(repair_mu_);
     repair_pending_.reset();
   }
-  check::MutexLock slock(stale_mu_);
-  stale_snaps_.clear();
-  mutation_epoch_.store(epoch, std::memory_order_release);
-  repaired_epoch_.store(epoch, std::memory_order_release);
+  {
+    check::MutexLock slock(stale_mu_);
+    stale_snaps_.clear();
+    mutation_epoch_.store(epoch, std::memory_order_release);
+    repaired_epoch_.store(epoch, std::memory_order_release);
+  }
+  // Warm-restored artifacts passed the fingerprint check against this same
+  // graph, so their content is at `epoch` as well: restamp them, or a
+  // degraded answer would report the epoch they were restored at.
+  cache_.sweep(epoch,
+               [](ArtifactKind, vid_t, vid_t, std::uint64_t) { return true; });
 }
 
 std::size_t QueryEngine::stale_entries() {
@@ -571,8 +578,22 @@ bool QueryEngine::serve_from_snapshot(PrunedSnapshot& snap, int k,
 bool QueryEngine::serve_degraded(vid_t s, vid_t t, int k, std::uint64_t gen,
                                  ServeResult& out) {
   if (!opts_.degraded_serving || !opts_.cache_snapshots) return false;
-  auto snap = cache_.get_snapshot(s, t, gen);
+  std::uint64_t stamp = 0;
+  auto snap = cache_.get_snapshot(s, t, gen, &stamp);
   if (!snap) return false;
+  // Content-epoch stamp (see Staleness::epoch): the entry's region stamp is
+  // the epoch its paths are exact for. A sweep restamps entries only after
+  // it has advanced the engine epoch, so the epoch read next is never
+  // behind the stamp. Between that advance and the sweep the entry may be
+  // one not yet dropped: serve it as a bounded stale answer, or not at all
+  // when no bound covers the gap.
+  Staleness st;
+  if (live()) {
+    st.epoch = stamp;
+    if (mutation_epoch() != stamp && !stale_bound_since(stamp, &st)) {
+      return false;
+    }
+  }
   check::MutexLock lock(snap->mu);
   // Already-materialized paths only — a shed query must not touch the graph.
   // An exhausted snapshot's paths are complete, so even an empty list is a
@@ -584,7 +605,9 @@ bool QueryEngine::serve_degraded(vid_t s, vid_t t, int k, std::uint64_t gen,
   out.upper_bound = snap->upper_bound;
   out.snapshot_hit = true;
   out.degraded = true;
+  out.staleness = st;
   PEEK_COUNT_INC("serve.degraded");
+  if (st.stale) PEEK_COUNT_INC("serve.stale_answers");
   return true;
 }
 

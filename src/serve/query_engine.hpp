@@ -254,7 +254,8 @@ class QueryEngine {
 
   /// Fleet healing hook: a freshly constructed replacement engine snapshots
   /// the current graph, so its content is already at fence epoch `epoch` —
-  /// this aligns its counters without queueing repairs.
+  /// this aligns its counters and its cache entries' epoch stamps without
+  /// queueing repairs.
   void reset_epoch(std::uint64_t epoch);
 
   /// Bounded-staleness side-table occupancy (test hook).

@@ -1,23 +1,9 @@
 #include "sssp/dijkstra.hpp"
 
-#include <queue>
-
 #include "obs/metrics.hpp"
+#include "sssp/heap.hpp"
 
 namespace peek::sssp {
-
-namespace {
-
-struct HeapEntry {
-  weight_t dist;
-  vid_t v;
-  bool operator>(const HeapEntry& o) const { return dist > o.dist; }
-};
-
-using MinHeap =
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>;
-
-}  // namespace
 
 SsspResult dijkstra(const GraphView& view, vid_t source,
                     const DijkstraOptions& opts) {
@@ -31,13 +17,11 @@ SsspResult dijkstra(const GraphView& view, vid_t source,
   // Hot loop: counts accumulate in locals, one sharded add on exit.
   std::int64_t settled = 0, relaxed = 0, improved = 0;
   fault::CancelPoll poll(opts.cancel);
-  MinHeap heap;
+  IndexedHeap heap(n);
   r.dist[source] = 0;
-  heap.push({0, source});
+  heap.push_or_decrease(source, 0);
   while (!heap.empty()) {
-    const auto [d, u] = heap.top();
-    heap.pop();
-    if (d > r.dist[u]) continue;  // stale lazy-deleted entry
+    const auto [d, u] = heap.pop();
     if (poll.should_stop()) {
       r.status = poll.why();
       break;
@@ -53,7 +37,7 @@ SsspResult dijkstra(const GraphView& view, vid_t source,
       if (nd < r.dist[v]) {
         r.dist[v] = nd;
         r.parent[v] = u;
-        heap.push({nd, v});
+        heap.push_or_decrease(v, nd);
         improved++;
       }
     }

@@ -1,7 +1,9 @@
-// Dijkstra's algorithm with a lazy-deletion binary heap, early exit, and
-// vertex/edge ban masks. This is the serial SSSP workhorse of the Yen-family
-// algorithms: bans let them "remove" prefix vertices and deviation edges
-// without mutating the graph (Algorithm 1, lines 6 and 10).
+// Dijkstra's algorithm with an indexed 4-ary heap (sssp/heap.hpp), early
+// exit, and vertex/edge ban masks. This is the serial SSSP workhorse of the
+// Yen-family algorithms: bans let them "remove" prefix vertices and deviation
+// edges without mutating the graph (Algorithm 1, lines 6 and 10). Vertices at
+// equal distance settle in id order, so among equal-length routes the parent
+// tree is a deterministic function of the graph.
 #pragma once
 
 #include <unordered_set>

@@ -1,13 +1,13 @@
 #include "sssp/resumable_dijkstra.hpp"
 
-#include <algorithm>
 #include <deque>
 
 namespace peek::sssp {
 
 ResumableDijkstra::ResumableDijkstra(const GraphView& view, vid_t source,
                                      Bans bans)
-    : view_(view), source_(source), bans_(bans) {
+    : view_(view), source_(source), bans_(bans),
+      heap_(view.num_vertices()) {
   const vid_t n = view_.num_vertices();
   dist_.assign(static_cast<size_t>(n), kInfDist);
   parent_.assign(static_cast<size_t>(n), kNoVertex);
@@ -15,12 +15,13 @@ ResumableDijkstra::ResumableDijkstra(const GraphView& view, vid_t source,
   if (source_ < 0 || source_ >= n) return;
   if (!view_.vertex_alive(source_) || bans_.vertex_banned(source_)) return;
   dist_[source_] = 0;
-  heap_.push_back({0, source_});
+  heap_.push_or_decrease(source_, 0);
 }
 
 ResumableDijkstra::ResumableDijkstra(const GraphView& view, vid_t source,
                                      const SsspResult& base, Bans bans)
-    : view_(view), source_(source), bans_(bans) {
+    : view_(view), source_(source), bans_(bans),
+      heap_(view.num_vertices()) {
   const vid_t n = view_.num_vertices();
   dist_.assign(static_cast<size_t>(n), kInfDist);
   parent_.assign(static_cast<size_t>(n), kNoVertex);
@@ -66,7 +67,7 @@ ResumableDijkstra::ResumableDijkstra(const GraphView& view, vid_t source,
 ResumableDijkstra::ResumableDijkstra(const GraphView& view,
                                      const GraphView& rview, vid_t source,
                                      const SsspResult& base, weight_t threshold)
-    : view_(view), source_(source) {
+    : view_(view), source_(source), heap_(view.num_vertices()) {
   const vid_t n = view_.num_vertices();
   dist_.assign(static_cast<size_t>(n), kInfDist);
   parent_.assign(static_cast<size_t>(n), kNoVertex);
@@ -96,7 +97,7 @@ ResumableDijkstra::ResumableDijkstra(const GraphView& view,
     // threshold <= 0: the cone swallowed the root (and with non-negative
     // weights, everything else) — degenerate to a fresh full search.
     dist_[source_] = 0;
-    heap_.push_back({0, source_});
+    heap_.push_or_decrease(source_, 0);
     return;
   }
   for (vid_t x : poisoned) {
@@ -109,8 +110,7 @@ ResumableDijkstra::ResumableDijkstra(const GraphView& view,
       if (nd < dist_[x]) {
         dist_[x] = nd;
         parent_[x] = u;
-        heap_.push_back({nd, x});
-        std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+        heap_.push_or_decrease(x, nd);
       }
     }
   }
@@ -127,22 +127,15 @@ void ResumableDijkstra::relax_out_edges(vid_t u) {
     if (nd < dist_[v]) {
       dist_[v] = nd;
       parent_[v] = u;
-      heap_.push_back({nd, v});
-      std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+      heap_.push_or_decrease(v, nd);
     }
   }
 }
 
 void ResumableDijkstra::step() {
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    const Entry top = heap_.back();
-    heap_.pop_back();
-    if (settled_[top.v] || top.d > dist_[top.v]) continue;  // stale
-    settled_[top.v] = 1;
-    relax_out_edges(top.v);
-    return;
-  }
+  const vid_t u = heap_.pop().v;
+  settled_[u] = 1;
+  relax_out_edges(u);
 }
 
 weight_t ResumableDijkstra::ensure_settled(vid_t v) {

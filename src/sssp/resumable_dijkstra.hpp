@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "sssp/dijkstra.hpp"
+#include "sssp/heap.hpp"
 
 namespace peek::sssp {
 
@@ -52,12 +53,6 @@ class ResumableDijkstra {
   SsspResult snapshot() const { return {dist_, parent_}; }
 
  private:
-  struct Entry {
-    weight_t d;
-    vid_t v;
-    bool operator>(const Entry& o) const { return d > o.d; }
-  };
-
   void relax_out_edges(vid_t u);
   void step();  // settle one vertex
 
@@ -67,7 +62,7 @@ class ResumableDijkstra {
   std::vector<weight_t> dist_;
   std::vector<vid_t> parent_;
   std::vector<std::uint8_t> settled_;
-  std::vector<Entry> heap_;  // std::*_heap on a vector, lazy deletion
+  IndexedHeap heap_;
 };
 
 }  // namespace peek::sssp

@@ -21,6 +21,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <filesystem>
 #include <memory>
 #include <random>
 #include <thread>
@@ -419,6 +420,76 @@ TEST_F(LiveEngineTest, UnaffectedPairsStayCachedAcrossBatches) {
   expect_paths_identical(r47b.paths, true_ksp(post, 4, 7, 2));
 }
 
+TEST_F(LiveEngineTest, DegradedAnswerCarriesSnapshotEpoch) {
+  auto csr = two_diamonds();
+  dyn::DynamicGraph dg(csr);
+  serve::ServeOptions so;
+  so.live_mutations = true;
+  serve::QueryEngine eng(dg, so);
+  ASSERT_EQ(eng.query(0, 3, 2).status.code, fault::Status::kOk);
+
+  // Three batches on the other component: the (0, 3) snapshot survives each
+  // sweep and is restamped, so its paths are exact for epoch 3.
+  constexpr std::uint64_t kBatches = 3;
+  for (std::uint64_t i = 0; i < kBatches; ++i) {
+    eng.apply_batch(dyn::UpdateBatch{}.reweight(
+        5, 7, 2.0 + static_cast<double>(i)));
+    eng.drain_repairs();
+  }
+  ASSERT_EQ(eng.mutation_epoch(), kBatches);
+  ASSERT_EQ(eng.cache()
+                .epoch_of(serve::ArtifactKind::kSnapshot, 0, 3)
+                .value_or(99),
+            kBatches);
+  auto post = dg.to_csr();
+
+  auto r = eng.query_cached_only(0, 3, 2);
+  ASSERT_EQ(r.status.code, fault::Status::kOk);
+  EXPECT_TRUE(r.degraded);
+  EXPECT_FALSE(r.staleness.stale);
+  EXPECT_EQ(r.staleness.epoch, kBatches);
+  EXPECT_EQ(r.staleness.epochs_behind, 0u);
+  expect_paths_identical(r.paths, true_ksp(post, 0, 3, 2));
+
+  // A snapshot computed after the batches carries the same stamp.
+  ASSERT_EQ(eng.query(4, 7, 2).status.code, fault::Status::kOk);
+  auto r47 = eng.query_cached_only(4, 7, 2);
+  ASSERT_EQ(r47.status.code, fault::Status::kOk);
+  EXPECT_FALSE(r47.staleness.stale);
+  EXPECT_EQ(r47.staleness.epoch, kBatches);
+  expect_paths_identical(r47.paths, true_ksp(post, 4, 7, 2));
+}
+
+TEST_F(LiveEngineTest, ResetEpochRestampsRestoredSnapshots) {
+  auto csr = two_diamonds();
+  dyn::DynamicGraph dg(csr);
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / "peek_live_reset_epoch";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  serve::ServeOptions so;
+  so.live_mutations = true;
+  so.snapshot_dir = dir.string();
+  {
+    serve::QueryEngine a(dg, so);
+    ASSERT_EQ(a.query(0, 3, 2).status.code, fault::Status::kOk);
+    ASSERT_GT(a.persist(), 0);
+  }
+
+  // A replacement engine warm-restores the snapshot and is then aligned to
+  // the fleet's fence epoch, as ShardFleet's healer does.
+  serve::QueryEngine b(dg, so);
+  ASSERT_GT(b.restored_artifacts(), 0);
+  b.reset_epoch(5);
+  auto r = b.query_cached_only(0, 3, 2);
+  ASSERT_EQ(r.status.code, fault::Status::kOk) << r.status.message;
+  EXPECT_TRUE(r.degraded);
+  EXPECT_FALSE(r.staleness.stale);
+  EXPECT_EQ(r.staleness.epoch, 5u);
+  expect_paths_identical(r.paths, true_ksp(csr, 0, 3, 2));
+  std::filesystem::remove_all(dir);
+}
+
 TEST_F(LiveEngineTest, StaleAnswerCarriesSoundBound) {
   auto csr = two_diamonds();
   dyn::DynamicGraph dg(csr);
@@ -614,6 +685,45 @@ TEST(LiveFleet, FenceAdvancesAndAnswersRespectIt) {
     EXPECT_EQ(q.result.staleness.epoch + q.result.staleness.epochs_behind, 2u);
     expect_paths_identical(q.result.paths, true_ksp(post2, s, t, 4));
   }
+}
+
+// The fleet's cache-only fallback (home shard down) must stamp the epoch
+// the survivor's snapshot is exact for, not epoch 0.
+TEST(LiveFleet, DegradedFallbackCarriesSnapshotEpoch) {
+  auto csr = two_diamonds();
+  dyn::DynamicGraph dg(csr);
+  shard::FleetOptions fo;
+  fo.router.shards = 2;
+  fo.replicas = 1;
+  fo.failover = false;
+  fo.degraded_fallback = true;
+  shard::ShardFleet fleet(dg, fo);
+  const int home = fleet.router().route(0, 3);
+  const int survivor = fleet.router().successor(home, 1);
+  ASSERT_NE(survivor, home);
+  ASSERT_EQ(fleet.engine(survivor, 0).query(0, 3, 2).status.code,
+            fault::Status::kOk);
+
+  constexpr std::uint64_t kBatches = 3;
+  for (std::uint64_t i = 0; i < kBatches; ++i) {
+    fleet.apply_batch(dyn::UpdateBatch{}.reweight(
+        5, 7, 2.0 + static_cast<double>(i)));
+    fleet.deliver_batches();
+    for (int sh = 0; sh < fleet.shards(); ++sh)
+      fleet.engine(sh, 0).drain_repairs();
+  }
+  ASSERT_EQ(fleet.fence_epoch(), kBatches);
+
+  fleet.set_replica_down(home, 0, true);
+  auto r = fleet.query(0, 3, 2);
+  ASSERT_EQ(r.result.status.code, fault::Status::kOk) << r.result.status.message;
+  EXPECT_TRUE(r.result.degraded);
+  EXPECT_EQ(r.shard, survivor);
+  EXPECT_FALSE(r.result.staleness.stale);
+  EXPECT_EQ(r.result.staleness.epoch + r.result.staleness.epochs_behind,
+            kBatches);
+  expect_paths_identical(r.result.paths, true_ksp(dg.to_csr(), 0, 3, 2));
+  fleet.set_replica_down(home, 0, false);
 }
 
 }  // namespace

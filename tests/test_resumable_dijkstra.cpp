@@ -27,7 +27,7 @@ TEST(ResumableDijkstra, EnsureSettledIsIncremental) {
   EXPECT_FALSE(rd.settled(5));
   EXPECT_DOUBLE_EQ(rd.ensure_settled(5), 5.0);
   EXPECT_TRUE(rd.settled(5));
-  // Vertices past 5 not yet settled (plus heap laziness tolerance of 1).
+  // Settling stops at 5: later vertices are not settled yet.
   EXPECT_FALSE(rd.settled(8));
   EXPECT_DOUBLE_EQ(rd.ensure_settled(9), 9.0);
 }
