@@ -2,11 +2,12 @@
 // subset, emitting a schema-versioned JSON (BENCH_<pr>.json at the repo root)
 // that tools/bench_compare.py diffs against the committed baseline in CI.
 //
-// Workloads per graph: SSSP (Dijkstra and parallel Δ-stepping), prune,
-// compact, KSP (serial Yen on the unpruned graph), and the end-to-end PeeK
-// pipeline. The rows double as correctness gates: the driver aborts if
-// Δ-stepping's distances are not bit-identical to Dijkstra's, or if Yen's
-// paths fail check::certify_paths.
+// Workloads per graph: SSSP (Dijkstra and parallel Δ-stepping), prune
+// (parallel, and serial with its bounded search), compact, KSP (serial Yen
+// on the unpruned graph), and the end-to-end PeeK pipeline. The rows double
+// as correctness gates: the driver aborts if Δ-stepping's distances are not
+// bit-identical to Dijkstra's, if the serial prune's b or keep mask differs
+// from full-tree pruning, or if Yen's paths fail check::certify_paths.
 //
 // Each graph also carries the live-mutation A/B (dyn.repair.{incremental,
 // full}): cone repair of 16 cached SSSP trees after a single-edge reweight
@@ -126,6 +127,29 @@ void run_graph(const bench::BenchGraph& bg, int reps, std::uint64_t seed,
   metrics[key("prune")] = bench::time_stats(reps, [&] {
     pr = core::k_upper_bound_prune(g, s, t, po);
   });
+
+  // The default pipeline's prune: serial, so it runs the bounded search.
+  // Gated on the same b and keep mask as the prune over full trees.
+  core::PruneOptions so;
+  so.k = 8;
+  core::PruneResult serial;
+  metrics[key("prune.serial")] = bench::time_stats(reps, [&] {
+    serial = core::k_upper_bound_prune(g, s, t, so);
+  });
+  const sssp::SsspResult to_target = sssp::reverse_dijkstra(g, t);
+  so.reuse_from_source = &dijkstra_ref;
+  so.reuse_to_target = &to_target;
+  const core::PruneResult full = core::k_upper_bound_prune(g, s, t, so);
+  if (serial.status != fault::Status::kOk ||
+      serial.upper_bound != full.upper_bound ||
+      serial.vertex_keep != full.vertex_keep) {
+    std::fprintf(stderr,
+                 "bench_canonical: the bounded serial prune diverged from "
+                 "full-tree pruning on %s — refusing to emit numbers for "
+                 "broken code\n",
+                 bg.name.c_str());
+    std::exit(1);
+  }
 
   metrics[key("compact")] = bench::time_stats(reps, [&] {
     // Fresh MutableCsr per rep: edge-swap mutates it, and the pipeline pays

@@ -7,6 +7,12 @@
 // K-th shortest path (Lemma 4.2): every vertex with dist[v] > b — and every
 // edge heavier than b — can be deleted without changing the result
 // (Theorem 4.3).
+//
+// The serial prune does not run the paper's two full SSSPs. A bounded
+// bidirectional search settles only V_B = {v : spSrc[v] + spTgt[v] <= B}, for
+// a bound B it grows until the scan finds b (DESIGN.md §5, "Bounded prune
+// search"). b, the keep mask and every kept vertex's distances and parents
+// come out bit-identical to the full-tree prune.
 #pragma once
 
 #include "compact/edge_swap.hpp"
@@ -28,17 +34,18 @@ struct PruneOptions {
   /// prune edge (u,v) when spSrc[u] + w + spTgt[v] > b, which is sound by
   /// the same Lemma 4.1 argument and strictly stronger.
   bool tight_edge_prune = false;
-  /// Precomputed SSSP trees to reuse (the serving layer's cross-query
-  /// artifact cache, serve/artifact_cache.hpp): the forward tree depends only
-  /// on s and the reverse tree only on t, so a query that shares either end
-  /// with an earlier one can skip that SSSP. When non-null, Step 1 copies the
-  /// tree instead of recomputing it. The tree must have been computed on this
-  /// exact graph from this s / to this t.
+  /// Precomputed full SSSP trees (the serving layer's cross-query artifact
+  /// cache, serve/artifact_cache.hpp): the forward tree depends only on s and
+  /// the reverse tree only on t. The prune reads a supplied tree in place; it
+  /// must have been computed on this exact graph from this s / to this t.
+  /// The serial prune uses them only when both are supplied; otherwise it
+  /// runs the bounded search, which needs neither.
   const sssp::SsspResult* reuse_from_source = nullptr;
   const sssp::SsspResult* reuse_to_target = nullptr;
-  /// Cooperative cancellation: threaded into both SSSPs and polled in the
-  /// Step 3 scan. A cancelled prune returns early with `status` set and no
-  /// usable keep mask. Null = never cancelled.
+  /// Cooperative cancellation: threaded into both SSSPs (polled once per
+  /// settled vertex) and polled in the Step 3 scan. A cancelled prune
+  /// returns early with `status` set and no usable keep mask. Null = never
+  /// cancelled.
   const fault::CancelToken* cancel = nullptr;
 };
 
@@ -51,7 +58,12 @@ struct PruneResult {
   /// Position-independent edge filter capturing b (and, when tight pruning
   /// is on, the two distance arrays); feed to any compaction strategy.
   compact::EdgeKeep edge_keep;
-  /// spSrc / spTgt with parents — reusable downstream.
+  /// spSrc / spTgt with parents. A tree the caller supplied through
+  /// `reuse_*` is not copied here: its field stays empty. The parallel prune
+  /// fills full trees. The serial bounded search fills exact values only on
+  /// the vertices it settled from both ends within its final bound, a set
+  /// that holds every kept vertex and their tree paths to s and t; every
+  /// other vertex reads kInfDist / kNoVertex.
   sssp::SsspResult from_source;
   sssp::SsspResult to_target;
   vid_t kept_vertices = 0;

@@ -22,7 +22,6 @@
 #include "graph/stats.hpp"       // IWYU pragma: export
 
 // Shortest-path kernels.
-#include "sssp/alt.hpp"                 // IWYU pragma: export
 #include "sssp/bellman_ford.hpp"        // IWYU pragma: export
 #include "sssp/delta_stepping.hpp"      // IWYU pragma: export
 #include "sssp/dijkstra.hpp"            // IWYU pragma: export

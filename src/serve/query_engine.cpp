@@ -8,6 +8,7 @@
 #include "ksp/stream.hpp"
 #include "obs/metrics.hpp"
 #include "recover/artifacts.hpp"
+#include "sssp/delta_stepping.hpp"
 
 namespace peek::serve {
 
@@ -663,6 +664,40 @@ std::shared_ptr<PrunedSnapshot> QueryEngine::compute_snapshot(
   out.fwd_tree_hit = fwd != nullptr;
   out.rev_tree_hit = rev != nullptr;
 
+  // Trees the cache missed are computed here, in full: the cache, and live
+  // mode's cone_threshold / pair_impact tests, read whole trees. The prune
+  // then reads both in place. Without a tree cache nothing needs full trees,
+  // and the serial prune runs its bounded search instead.
+  std::shared_ptr<const sssp::SsspResult> fwd_new, rev_new;
+  if (opts_.cache_trees) {
+    sssp::DeltaSteppingOptions ds;
+    ds.delta = opts_.peek.delta;
+    ds.cancel = cancel;
+    sssp::DijkstraOptions dj;
+    dj.cancel = cancel;
+    auto full_tree = [&](bool forward, vid_t root) {
+      auto tree = std::make_shared<sssp::SsspResult>(
+          opts_.peek.parallel
+              ? (forward ? sssp::delta_stepping(sssp::GraphView(g), root, ds)
+                         : sssp::reverse_delta_stepping(g, root, ds))
+              : (forward ? sssp::dijkstra(sssp::GraphView(g), root, dj)
+                         : sssp::reverse_dijkstra(g, root, dj)));
+      if (tree->status != fault::Status::kOk) {
+        out.status = {tree->status, "prune aborted"};
+        tree = nullptr;
+      }
+      return tree;
+    };
+    if (!fwd) {
+      if (!(fwd_new = full_tree(true, s))) return nullptr;
+      fwd = fwd_new;
+    }
+    if (!rev) {
+      if (!(rev_new = full_tree(false, t))) return nullptr;
+      rev = rev_new;
+    }
+  }
+
   core::PruneOptions po;
   po.k = k_budget;
   po.parallel = opts_.peek.parallel;
@@ -681,15 +716,11 @@ std::shared_ptr<PrunedSnapshot> QueryEngine::compute_snapshot(
     // Epoch-guarded in live mode: a tree computed against a superseded
     // snapshot is simply not cached (the answer itself is handled by the
     // caller's epoch check).
-    if (!fwd) {
-      publish_tree(ArtifactKind::kForwardTree, s,
-                   std::make_shared<sssp::SsspResult>(pruned.from_source),
-                   generation, epoch0);
+    if (fwd_new) {
+      publish_tree(ArtifactKind::kForwardTree, s, fwd_new, generation, epoch0);
     }
-    if (!rev && !pruned.to_target.dist.empty()) {
-      publish_tree(ArtifactKind::kReverseTree, t,
-                   std::make_shared<sssp::SsspResult>(pruned.to_target),
-                   generation, epoch0);
+    if (rev_new) {
+      publish_tree(ArtifactKind::kReverseTree, t, rev_new, generation, epoch0);
     }
   }
 
@@ -725,20 +756,22 @@ std::shared_ptr<PrunedSnapshot> QueryEngine::compute_snapshot(
   cg->warm_reverse();  // the stream's reverse view, built once here
 
   // Recycle the pruning stage's reverse tree as the stream's warm-start
-  // tree, translated into compacted ids. Sound: for every kept v, the
-  // shortest v->t path survives pruning vertex-by-vertex and edge-by-edge
+  // tree, translated into compacted ids. Only kept vertices are read, and a
+  // bounded prune's partial tree is exact on them. Sound: for every kept v,
+  // the shortest v->t path survives pruning vertex-by-vertex and edge-by-edge
   // (for u on it, spSrc[u] + spTgt[u] <= spSrc[v] + spTgt[v] <= b by
   // subpath optimality, and each edge obeys both §4 edge rules), so the
   // tree is a valid — and distance-identical — reverse SP tree of the
   // compacted graph.
   const vid_t n_new = cg->num_vertices();
+  const sssp::SsspResult& to_target = rev ? *rev : pruned.to_target;
   sssp::SsspResult rtree;
   rtree.dist.assign(static_cast<size_t>(n_new), kInfDist);
   rtree.parent.assign(static_cast<size_t>(n_new), kNoVertex);
   for (vid_t v = 0; v < n_new; ++v) {
     const vid_t old = regen.map.to_old(v);
-    rtree.dist[v] = pruned.to_target.dist[old];
-    const vid_t par = pruned.to_target.parent[old];
+    rtree.dist[v] = to_target.dist[old];
+    const vid_t par = to_target.parent[old];
     rtree.parent[v] = par == kNoVertex ? kNoVertex : regen.map.to_new(par);
   }
 

@@ -1,9 +1,10 @@
 // Indexed 4-ary min-heap over vertex ids: the priority queue of every
 // Dijkstra in the library (sssp::dijkstra, sssp::ResumableDijkstra,
-// dyn::dynamic_dijkstra). It holds at most one entry per vertex and lowers a
-// queued key in place, where a lazy-deletion heap would push one entry per
-// improvement. Entries are ordered on (dist, vertex id), so vertices at equal
-// distance settle in id order — a deterministic function of the graph.
+// dyn::dynamic_dijkstra, the prune's bounded search in core/upper_bound.cpp).
+// It holds at most one entry per vertex and lowers a queued key in place,
+// where a lazy-deletion heap would push one entry per improvement. Entries
+// are ordered on (dist, vertex id), so vertices at equal distance settle in
+// id order — a deterministic function of the graph.
 #pragma once
 
 #include <algorithm>
@@ -25,6 +26,19 @@ class IndexedHeap {
   explicit IndexedHeap(vid_t n) : pos_(static_cast<std::size_t>(n), kAbsent) {}
 
   bool empty() const { return heap_.empty(); }
+
+  /// The least (dist, id) entry. The heap must not be empty.
+  const Entry& top() const { return heap_.front(); }
+
+  /// The queued entries, in heap order: pushing them back in this order into
+  /// an empty heap rebuilds it without a single sift.
+  const std::vector<Entry>& entries() const { return heap_; }
+
+  /// Unqueues every entry, in O(size) rather than O(n).
+  void clear() {
+    for (const Entry& e : heap_) pos_[e.v] = kAbsent;
+    heap_.clear();
+  }
 
   /// Queues `v` with key `d`, or lowers its queued key to `d`. A vertex that
   /// was popped earlier is queued again. `d` must not exceed a queued key.
