@@ -4,10 +4,12 @@
 //
 // Workloads per graph: SSSP (Dijkstra and parallel Δ-stepping), prune
 // (parallel, and serial with its bounded search), compact, KSP (serial Yen
-// on the unpruned graph), and the end-to-end PeeK pipeline. The rows double
-// as correctness gates: the driver aborts if Δ-stepping's distances are not
-// bit-identical to Dijkstra's, if the serial prune's b or keep mask differs
-// from full-tree pruning, or if Yen's paths fail check::certify_paths.
+// on the unpruned graph), the end-to-end PeeK pipeline, and one
+// serve::QueryEngine miss. The rows double as correctness gates: the driver
+// aborts if Δ-stepping's distances are not bit-identical to Dijkstra's, if
+// the serial prune's b or keep mask differs from full-tree pruning, if Yen's
+// paths fail check::certify_paths, or if the serve miss's paths differ from
+// core::peek_ksp.
 //
 // Each graph also carries the live-mutation A/B (dyn.repair.{incremental,
 // full}): cone repair of 16 cached SSSP trees after a single-edge reweight
@@ -48,6 +50,7 @@
 #include "dyn/update_batch.hpp"
 #include "ksp/yen.hpp"
 #include "recover/artifacts.hpp"
+#include "serve/query_engine.hpp"
 #include "shard/fleet.hpp"
 #include "sssp/delta_stepping.hpp"
 #include "sssp/dijkstra.hpp"
@@ -79,6 +82,18 @@ using StormMap = std::map<std::string, StormStats>;
 
 bool same_dists(const sssp::SsspResult& a, const sssp::SsspResult& b) {
   return a.dist == b.dist;  // bit-identical, not approximately equal
+}
+
+/// Vertices and distances bit-identical (Path::operator== reads vertices
+/// only).
+bool same_paths(const std::vector<sssp::Path>& got,
+                const std::vector<sssp::Path>& want) {
+  if (got.size() != want.size()) return false;
+  for (size_t i = 0; i < want.size(); ++i) {
+    if (got[i].verts != want[i].verts || got[i].dist != want[i].dist)
+      return false;
+  }
+  return true;
 }
 
 void run_graph(const bench::BenchGraph& bg, int reps, std::uint64_t seed,
@@ -152,11 +167,20 @@ void run_graph(const bench::BenchGraph& bg, int reps, std::uint64_t seed,
   }
 
   metrics[key("compact")] = bench::time_stats(reps, [&] {
+    // The pipeline's kAdaptive step: count m_r, pick a strategy, compact.
     // Fresh MutableCsr per rep: edge-swap mutates it, and the pipeline pays
     // this copy per query too.
-    compact::MutableCsr mc(g);
-    compact::adaptive_compact(mc, g.num_edges(), pr.vertex_keep.data(),
-                              pr.edge_keep, {.alpha = 0.5, .parallel = true});
+    const eid_t m_r = compact::count_remaining_edges(
+        view, pr.vertex_keep.data(), pr.edge_keep, /*parallel=*/true);
+    if (compact::choose_strategy(m_r, g.num_edges(), 0.5) ==
+        compact::Strategy::kRegeneration) {
+      compact::regenerate(view, pr.vertex_keep.data(), pr.edge_keep,
+                          {.parallel = true});
+    } else {
+      compact::MutableCsr mc(g);
+      compact::edge_swap_compact(mc, pr.vertex_keep.data(), pr.edge_keep,
+                                 {.parallel = true});
+    }
   });
 
   // -- KSP: serial Yen, one deviation SSSP per candidate -------------------
@@ -184,6 +208,27 @@ void run_graph(const bench::BenchGraph& bg, int reps, std::uint64_t seed,
   metrics[key("peek.e2e")] = bench::time_stats(reps, [&] {
     core::peek_ksp(g, s, t, eo);
   });
+
+  // -- Serve miss: one non-live engine miss at K = 8 -----------------------
+  // invalidate() before each rep turns the previous rep's snapshot stale, so
+  // every rep prunes (bounded search, no full trees), compacts and streams.
+  serve::QueryEngine engine(g);
+  serve::ServeResult miss;
+  metrics[key("serve.miss")] = bench::time_stats(reps, [&] {
+    engine.invalidate();
+    miss = engine.query(s, t, 8);
+  });
+  core::PeekOptions mo;
+  mo.k = 8;
+  if (miss.status.code != fault::Status::kOk || miss.snapshot_hit ||
+      !same_paths(miss.paths, core::peek_ksp(g, s, t, mo).ksp.paths)) {
+    std::fprintf(stderr,
+                 "bench_canonical: a serve miss on %s diverged from "
+                 "core::peek_ksp — refusing to emit numbers for broken "
+                 "code\n",
+                 bg.name.c_str());
+    std::exit(1);
+  }
 }
 
 // -- Sharded serving storm (DESIGN.md §12) -----------------------------------
@@ -236,14 +281,8 @@ StormStats storm_pass(const graph::CsrGraph& g, bool hedging,
   for (const size_t rk : ranks) {
     const auto [s, t] = pool[rk];
     const auto res = fleet.query(s, t, kStormK);
-    bool same = res.result.status.code == fault::Status::kOk &&
-                !res.result.degraded &&
-                res.result.paths.size() == want[rk].size();
-    for (size_t i = 0; same && i < want[rk].size(); ++i) {
-      same = res.result.paths[i].verts == want[rk][i].verts &&
-             res.result.paths[i].dist == want[rk][i].dist;
-    }
-    if (!same) {
+    if (res.result.status.code != fault::Status::kOk || res.result.degraded ||
+        !same_paths(res.result.paths, want[rk])) {
       std::fprintf(stderr,
                    "bench_canonical: %s fleet answer diverged from "
                    "core::peek_ksp — refusing to emit numbers for broken "

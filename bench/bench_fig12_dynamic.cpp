@@ -63,20 +63,28 @@ int main(int argc, char** argv) {
       return kept.count(pair_key(u, v)) > 0;
     };
 
-    // PeeK side: adaptive compaction + static SSSP.
+    // PeeK side: adaptive compaction (count m_r, pick a strategy, compact)
+    // + static SSSP.
     compact::MutableCsr mc(g);
-    compact::CompactionResult comp;
+    compact::Strategy strategy = compact::Strategy::kEdgeSwap;
+    compact::RegeneratedGraph regen;
     const double pc = time_seconds([&] {
-      comp = compact::adaptive_compact(mc, g.num_edges(), vkeep.data(), pred);
+      const eid_t m_r = compact::count_remaining_edges(sssp::GraphView(g),
+                                                       vkeep.data(), pred);
+      strategy = compact::choose_strategy(m_r, g.num_edges(), 0.5);
+      if (strategy == compact::Strategy::kRegeneration) {
+        regen = compact::regenerate(sssp::GraphView(g), vkeep.data(), pred);
+      } else {
+        compact::edge_swap_compact(mc, vkeep.data(), pred);
+      }
     });
     double ps;
-    if (comp.strategy == compact::Strategy::kRegeneration) {
-      const vid_t cs = comp.regenerated.map.to_new(s);
-      ps = time_seconds([&] {
-        sssp::dijkstra(sssp::GraphView(comp.regenerated.graph), cs);
-      });
+    if (strategy == compact::Strategy::kRegeneration) {
+      const vid_t cs = regen.map.to_new(s);
+      ps = time_seconds(
+          [&] { sssp::dijkstra(sssp::GraphView(regen.graph), cs); });
     } else {
-      ps = time_seconds([&] { sssp::dijkstra(comp.swapped.fwd, s); });
+      ps = time_seconds([&] { sssp::dijkstra(mc.biview().fwd, s); });
     }
 
     // Dynamic-container side: per-edge deletions + SSSP on the container.

@@ -59,23 +59,4 @@ eid_t count_remaining_edges(const GraphView& view,
   return total.load();
 }
 
-CompactionResult adaptive_compact(MutableCsr& g, eid_t m_original,
-                                  const std::uint8_t* vertex_keep,
-                                  const EdgeKeep& keep,
-                                  const AdaptiveOptions& opts) {
-  CompactionResult result;
-  const eid_t m_r =
-      count_remaining_edges(g.view(), vertex_keep, keep, opts.parallel);
-  result.remaining_edges = m_r;
-  result.strategy = choose_strategy(m_r, m_original, opts.alpha);
-  if (result.strategy == Strategy::kRegeneration) {
-    result.regenerated =
-        regenerate(g.view(), vertex_keep, keep, {.parallel = opts.parallel});
-  } else {
-    edge_swap_compact(g, vertex_keep, keep, {.parallel = opts.parallel});
-    result.swapped = g.biview();
-  }
-  return result;
-}
-
 }  // namespace peek::compact

@@ -12,6 +12,18 @@ bool CandidateSet::push(Path path, int dev_index) {
   return true;
 }
 
+size_t CandidateSet::bytes() const {
+  size_t total = sizeof(CandidateSet) + heap_.capacity() * sizeof(Candidate);
+  for (const Candidate& c : heap_) total += path_heap_bytes(c.path);
+  // Each set node holds the path, a next pointer and the cached hash.
+  total += seen_.bucket_count() * sizeof(void*);
+  for (const Path& p : seen_) {
+    total += sizeof(Path) + sizeof(void*) + sizeof(size_t) +
+             path_heap_bytes(p);
+  }
+  return total;
+}
+
 std::vector<Path> CandidateSet::seen_paths() const {
   std::vector<Path> out(seen_.begin(), seen_.end());
   std::sort(out.begin(), out.end(), PathLess{});

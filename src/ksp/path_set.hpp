@@ -38,6 +38,10 @@ class CandidateSet {
   size_t size() const { return heap_.size(); }
   size_t total_generated() const { return seen_.size(); }
 
+  /// Approximate resident bytes: the candidate heap and the dedup set,
+  /// including the set's per-node and bucket-array overhead.
+  size_t bytes() const;
+
   /// Checkpoint support (recover/): the live candidates in internal heap
   /// order. pop_min's output sequence depends only on the comparator (a total
   /// order), so any valid heap over the same multiset replays identically.
@@ -58,6 +62,11 @@ class CandidateSet {
   std::vector<Candidate> heap_;  // std::*_heap with Greater (min-heap)
   std::unordered_set<Path, PathHash> seen_;
 };
+
+/// Heap bytes `p` owns beyond its own object: its vertex array.
+inline size_t path_heap_bytes(const Path& p) {
+  return p.verts.capacity() * sizeof(vid_t);
+}
 
 /// Statistics every KSP run reports — used by benches and the ablation study.
 struct KspStats {

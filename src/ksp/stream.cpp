@@ -22,6 +22,18 @@ KspStream::KspStream(const sssp::BiView& g, vid_t s, vid_t t,
   have_rtree_ = true;
 }
 
+size_t KspStream::bytes() const {
+  size_t total = sizeof(KspStream) - sizeof(CandidateSet) + cands_.bytes();
+  total += rtree_.dist.capacity() * sizeof(weight_t) +
+           rtree_.parent.capacity() * sizeof(vid_t);
+  total += accepted_.capacity() * sizeof(Candidate);
+  for (const Candidate& c : accepted_) total += path_heap_bytes(c.path);
+  total += produced_.capacity() * sizeof(sssp::Path);
+  for (const sssp::Path& p : produced_) total += path_heap_bytes(p);
+  total += mask_.capacity() * sizeof(std::uint8_t);
+  return total;
+}
+
 bool KspStream::expand_deviations(const Candidate& cur,
                                   const fault::CancelToken* cancel) {
   const auto& p = cur.path.verts;

@@ -49,6 +49,11 @@ class KspStream {
   const std::vector<sssp::Path>& produced() const { return produced_; }
   const KspStats& stats() const { return stats_; }
 
+  /// Approximate resident bytes: the reverse tree, the accepted and
+  /// produced paths, the candidate pool (CandidateSet::bytes) and the
+  /// deviation mask. The serving cache charges a snapshot for these.
+  size_t bytes() const;
+
   /// The reverse shortest-path tree deviations are answered from, for
   /// persistence (recover/): a restored stream warm-started with this exact
   /// tree replays byte-identical tie-breaks. Valid only when

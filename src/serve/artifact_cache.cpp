@@ -34,9 +34,11 @@ std::size_t PrunedSnapshot::bytes() const {
                   graph->col().size() * sizeof(vid_t) +
                   graph->weights().size() * sizeof(weight_t));
   }
-  total += map.old_to_new.capacity() * sizeof(vid_t) +
-           map.new_to_old.capacity() * sizeof(vid_t);
-  for (const auto& p : paths) total += p.verts.capacity() * sizeof(vid_t);
+  total += new_to_old.capacity() * sizeof(vid_t);
+  total += paths.capacity() * sizeof(sssp::Path);
+  for (const auto& p : paths) total += ksp::path_heap_bytes(p);
+  if (stream) total += stream->bytes();
+  total += tree_bytes(restored_rtree) - sizeof(sssp::SsspResult);
   return total;
 }
 

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "check/thread_safety.hpp"
-#include "compact/regeneration.hpp"
 #include "graph/csr.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/path.hpp"
@@ -59,7 +58,10 @@ struct PrunedSnapshot {
   /// Compacted subgraph in regenerated (dense) ids; null when the target was
   /// unreachable (a cached negative answer).
   std::shared_ptr<const graph::CsrGraph> graph;
-  compact::VertexMap map;  // regenerated id <-> original id
+  /// Regenerated id -> original id, strictly increasing (regeneration
+  /// numbers kept vertices by a prefix sum). The n-sized inverse is not
+  /// kept: the serving layer binary-searches this instead.
+  std::vector<vid_t> new_to_old;
   weight_t upper_bound = kInfDist;
   int k_budget = 0;  // pruning is sound up to this many paths
   vid_t s = kNoVertex, t = kNoVertex;  // original ids (for diagnostics)
@@ -87,7 +89,8 @@ struct PrunedSnapshot {
 
   ~PrunedSnapshot();  // out of line: KspStream is incomplete here
 
-  /// Approximate resident size (graph arrays + map + paths).
+  /// Approximate resident size: graph arrays, map, paths, the live stream
+  /// (ksp::KspStream::bytes) and a restored reverse tree.
   std::size_t bytes() const;
 };
 

@@ -20,8 +20,18 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 }
 
 /// Translates a compacted-id path into original ids (in place).
-void to_original_ids(sssp::Path& p, const compact::VertexMap& map) {
-  for (auto& v : p.verts) v = map.to_old(v);
+void to_original_ids(sssp::Path& p, const std::vector<vid_t>& new_to_old) {
+  for (auto& v : p.verts) v = new_to_old[static_cast<size_t>(v)];
+}
+
+/// Compacted id of original vertex `old`, or kNoVertex when it was pruned.
+/// Regeneration numbers kept vertices by a prefix sum, so `new_to_old` is
+/// strictly increasing and a binary search replaces the n-sized inverse.
+vid_t compacted_id(const std::vector<vid_t>& new_to_old, vid_t old) {
+  const auto it = std::lower_bound(new_to_old.begin(), new_to_old.end(), old);
+  return it != new_to_old.end() && *it == old
+             ? static_cast<vid_t>(it - new_to_old.begin())
+             : kNoVertex;
 }
 
 /// Live mode: how often one query re-runs after its compute raced a batch
@@ -349,12 +359,10 @@ void QueryEngine::repair_loop() {
     if (rr.status.ok()) {
       check::MutexLock lock(dyn_mu_);
       if (mutation_epoch_.load(std::memory_order_relaxed) == task.epoch) {
-        if (opts_.cache_trees) {
-          for (std::size_t i = 0; i < task.jobs.size(); ++i) {
-            if (rr.trees[i]) {
-              cache_.put_tree(task.keys[i].first, task.keys[i].second,
-                              rr.trees[i], generation(), task.epoch);
-            }
+        for (std::size_t i = 0; i < task.jobs.size(); ++i) {
+          if (rr.trees[i]) {
+            cache_.put_tree(task.keys[i].first, task.keys[i].second,
+                            rr.trees[i], generation(), task.epoch);
           }
         }
         check::MutexLock slock(stale_mu_);
@@ -428,10 +436,6 @@ bool QueryEngine::publish_tree(
     ArtifactKind kind, vid_t v,
     const std::shared_ptr<const sssp::SsspResult>& tree, std::uint64_t gen,
     std::uint64_t epoch0) {
-  if (!live()) {
-    cache_.put_tree(kind, v, tree, gen);
-    return true;
-  }
   check::MutexLock lock(dyn_mu_);
   if (mutation_epoch_.load(std::memory_order_relaxed) != epoch0) return false;
   cache_.put_tree(kind, v, tree, gen, epoch0);
@@ -489,7 +493,8 @@ bool QueryEngine::ensure_stream(PrunedSnapshot& snap, ServeResult& out,
       snap.exhausted = true;  // negative answer: nothing to extend
       return false;
     }
-    const vid_t cs = snap.map.to_new(snap.s), ct = snap.map.to_new(snap.t);
+    const vid_t cs = compacted_id(snap.new_to_old, snap.s);
+    const vid_t ct = compacted_id(snap.new_to_old, snap.t);
     if (cs == kNoVertex || ct == kNoVertex) {
       snap.exhausted = true;
       return false;
@@ -562,7 +567,7 @@ bool QueryEngine::serve_from_snapshot(PrunedSnapshot& snap, int k,
           snap.stream.reset();
           break;
         }
-        to_original_ids(*p, snap.map);
+        to_original_ids(*p, snap.new_to_old);
         snap.paths.push_back(std::move(*p));
         out.extended = true;
         PEEK_COUNT_INC("serve.stream_extensions");
@@ -636,8 +641,13 @@ std::shared_ptr<PrunedSnapshot> QueryEngine::compute_snapshot(
     std::uint64_t generation, std::uint64_t epoch0, ServeResult& out,
     const fault::CancelToken* cancel) {
   PEEK_TIMER_SCOPE("serve.compute");
-  std::shared_ptr<const sssp::SsspResult> fwd, rev;
-  if (opts_.cache_trees) {
+  // Full SSSP trees exist only where live invalidation reads them:
+  // cone_threshold, pair_impact and the repair loop need whole trees, so a
+  // live engine looks both up, computes what the cache missed, and hands
+  // them to the prune. A non-live engine holds no trees at all, and the
+  // serial prune runs its bounded search over V_B alone (DESIGN.md §5).
+  std::shared_ptr<const sssp::SsspResult> fwd, rev, fwd_new, rev_new;
+  if (live()) {
     fwd = cache_.get_tree(ArtifactKind::kForwardTree, s, generation);
     rev = cache_.get_tree(ArtifactKind::kReverseTree, t, generation);
     // Corruption probes: a hit flagged corrupt is dropped on the floor and
@@ -660,16 +670,9 @@ std::shared_ptr<PrunedSnapshot> QueryEngine::compute_snapshot(
                      {static_cast<int>(ArtifactKind::kReverseTree), t}) > 0)
         PEEK_COUNT_INC("serve.cache.restore_hits");
     }
-  }
-  out.fwd_tree_hit = fwd != nullptr;
-  out.rev_tree_hit = rev != nullptr;
+    out.fwd_tree_hit = fwd != nullptr;
+    out.rev_tree_hit = rev != nullptr;
 
-  // Trees the cache missed are computed here, in full: the cache, and live
-  // mode's cone_threshold / pair_impact tests, read whole trees. The prune
-  // then reads both in place. Without a tree cache nothing needs full trees,
-  // and the serial prune runs its bounded search instead.
-  std::shared_ptr<const sssp::SsspResult> fwd_new, rev_new;
-  if (opts_.cache_trees) {
     sssp::DeltaSteppingOptions ds;
     ds.delta = opts_.peek.delta;
     ds.cancel = cancel;
@@ -712,16 +715,13 @@ std::shared_ptr<PrunedSnapshot> QueryEngine::compute_snapshot(
     return nullptr;  // partial artifacts are never cached
   }
 
-  if (opts_.cache_trees) {
-    // Epoch-guarded in live mode: a tree computed against a superseded
-    // snapshot is simply not cached (the answer itself is handled by the
-    // caller's epoch check).
-    if (fwd_new) {
-      publish_tree(ArtifactKind::kForwardTree, s, fwd_new, generation, epoch0);
-    }
-    if (rev_new) {
-      publish_tree(ArtifactKind::kReverseTree, t, rev_new, generation, epoch0);
-    }
+  // Epoch-guarded: a tree computed against a superseded snapshot is simply
+  // not cached (the answer itself is handled by the caller's epoch check).
+  if (fwd_new) {
+    publish_tree(ArtifactKind::kForwardTree, s, fwd_new, generation, epoch0);
+  }
+  if (rev_new) {
+    publish_tree(ArtifactKind::kReverseTree, t, rev_new, generation, epoch0);
   }
 
   // The snapshot is private until put_snapshot publishes it, but its
@@ -776,7 +776,9 @@ std::shared_ptr<PrunedSnapshot> QueryEngine::compute_snapshot(
   }
 
   snap->graph = cg;
-  snap->map = std::move(regen.map);
+  // Only new_to_old is kept: the n-sized old_to_new would dominate a small
+  // snapshot's footprint, and persist() rebuilds it for the file format.
+  snap->new_to_old = std::move(regen.map.new_to_old);
   {
     check::MutexLock lock(snap->mu);
     snap->stream = std::make_unique<ksp::KspStream>(sssp::BiView::of(*cg), cs,
@@ -851,8 +853,7 @@ ServeResult QueryEngine::query(vid_t s, vid_t t, int k,
     slot.counter = &admitted_;
   }
 
-  if (cache_.byte_budget() == 0 ||
-      (!opts_.cache_snapshots && !opts_.cache_trees)) {
+  if (cache_.byte_budget() == 0 || !opts_.cache_snapshots) {
     // Memory-pressure / cache-off degradation: plain uncached PeeK. In live
     // mode the compute can race a batch; retry against the fresh snapshot,
     // or serve with an explicit bound when the races were reweight-only.
@@ -909,43 +910,41 @@ ServeResult QueryEngine::query(vid_t s, vid_t t, int k,
       g = active_graph();
     }
 
-    if (opts_.cache_snapshots) {
-      if (auto snap = cache_.get_snapshot(s, t, gen)) {
-        if (PEEK_FAULT_FIRE("serve.snapshot.corrupt")) {
-          // Corruption probe: drop the hit, recompute below; the fresh
-          // snapshot replaces the doubted entry.
-          PEEK_COUNT_INC("serve.cache.corruption_drops");
-        } else if (serve_from_snapshot(*snap, k, out, cancel)) {
-          if (live() && mutation_epoch() != epoch0 &&
-              cache_.get_snapshot(s, t, generation()) != snap) {
-            // A batch landed mid-serve AND swept this entry: the answer
-            // belongs to epoch0. Bound it or retry. (A surviving entry was
-            // restamped — the batch provably did not affect this pair, so
-            // the answer is fresh and falls through.)
-            if (stale_bound_since(epoch0, &out.staleness) &&
-                out.staleness.stale) {
-              out.snapshot_hit = true;
-              PEEK_COUNT_INC("serve.stale_answers");
-              PEEK_GAUGE_SET(
-                  "serve.staleness.epochs_behind",
-                  static_cast<std::int64_t>(out.staleness.epochs_behind));
-              break;
-            }
-            if (++epoch_races <= kMaxEpochRetries) {
-              out = ServeResult{};
-              continue;
-            }
-            out.status = {fault::Status::kOverloaded,
-                          "mutation storm outran the query"};
+    if (auto snap = cache_.get_snapshot(s, t, gen)) {
+      if (PEEK_FAULT_FIRE("serve.snapshot.corrupt")) {
+        // Corruption probe: drop the hit, recompute below; the fresh
+        // snapshot replaces the doubted entry.
+        PEEK_COUNT_INC("serve.cache.corruption_drops");
+      } else if (serve_from_snapshot(*snap, k, out, cancel)) {
+        if (live() && mutation_epoch() != epoch0 &&
+            cache_.get_snapshot(s, t, generation()) != snap) {
+          // A batch landed mid-serve AND swept this entry: the answer
+          // belongs to epoch0. Bound it or retry. (A surviving entry was
+          // restamped — the batch provably did not affect this pair, so
+          // the answer is fresh and falls through.)
+          if (stale_bound_since(epoch0, &out.staleness) &&
+              out.staleness.stale) {
+            out.snapshot_hit = true;
+            PEEK_COUNT_INC("serve.stale_answers");
+            PEEK_GAUGE_SET(
+                "serve.staleness.epochs_behind",
+                static_cast<std::int64_t>(out.staleness.epochs_behind));
             break;
           }
-          out.snapshot_hit = true;
-          PEEK_COUNT_INC("serve.snapshot_hits");
+          if (++epoch_races <= kMaxEpochRetries) {
+            out = ServeResult{};
+            continue;
+          }
+          out.status = {fault::Status::kOverloaded,
+                        "mutation storm outran the query"};
           break;
         }
-        // Budget too small for this K: recompute below with a wider bound
-        // (the new snapshot replaces the old entry).
+        out.snapshot_hit = true;
+        PEEK_COUNT_INC("serve.snapshot_hits");
+        break;
       }
+      // Budget too small for this K: recompute below with a wider bound
+      // (the new snapshot replaces the old entry).
     }
 
     // Bounded-staleness serving (live mode): the pair's snapshot was
@@ -954,7 +953,7 @@ ServeResult QueryEngine::query(vid_t s, vid_t t, int k,
     // bound rather than blocking on a fresh compute. Entry, epoch and bound
     // are read under one stale_mu_ hold (adopt_batch stores the epoch inside
     // its stale_mu_ section), so the tuple is internally consistent.
-    if (live() && opts_.cache_snapshots) {
+    if (live()) {
       std::shared_ptr<PrunedSnapshot> stale_snap;
       Staleness st;
       {
@@ -1080,11 +1079,7 @@ ServeResult QueryEngine::query(vid_t s, vid_t t, int k,
     bool epoch_ok = true;
     if (snap) {
       serve_from_snapshot(*snap, k, out, cancel);
-      if (opts_.cache_snapshots) {
-        epoch_ok = publish_snapshot(s, t, snap, gen, epoch0, out);
-      } else if (live()) {
-        epoch_ok = mutation_epoch() == epoch0;
-      }
+      epoch_ok = publish_snapshot(s, t, snap, gen, epoch0, out);
     }
     // Publish (null on failure: waiters retry on their own token) and always
     // release the key — cancelled or not, no in-flight entry may leak.
@@ -1172,6 +1167,9 @@ void QueryEngine::restore_from_dir() {
   for (recover::LoadedFile& f : recovery_->scan()) {
     fault::Status st;
     if (f.snap.kind == recover::kSsspTree) {
+      // Only live engines hold full trees; others leave tree files on disk
+      // for whichever engine reads them.
+      if (!live()) continue;
       recover::TreeArtifact a;
       st = recover::decode_tree(f.snap, a);
       if (st.ok()) {
@@ -1201,8 +1199,13 @@ void QueryEngine::restore_from_dir() {
         if (a.fingerprint != fp || a.s >= g->num_vertices() ||
             a.t >= g->num_vertices())
           continue;
+        // compacted_id() binary-searches new_to_old, which regeneration
+        // always writes sorted; a file that is not was not written by it.
         if (a.reachable &&
-            a.map.old_to_new.size() != static_cast<size_t>(g->num_vertices()))
+            (a.map.old_to_new.size() !=
+                 static_cast<size_t>(g->num_vertices()) ||
+             !std::is_sorted(a.map.new_to_old.begin(),
+                             a.map.new_to_old.end())))
           continue;
         auto snap = std::make_shared<PrunedSnapshot>();
         snap->s = a.s;
@@ -1223,8 +1226,10 @@ void QueryEngine::restore_from_dir() {
           }
         }
         if (a.reachable) {
+          // decode_pruned_snapshot checked that the map is a partial
+          // bijection; old_to_new is dropped as in compute_snapshot.
           snap->graph = std::make_shared<graph::CsrGraph>(std::move(a.graph));
-          snap->map = std::move(a.map);
+          snap->new_to_old = std::move(a.map.new_to_old);
         }
         if (cache_.put_snapshot(snap->s, snap->t, snap, gen))
           ++restored_artifacts_;
@@ -1268,20 +1273,18 @@ int QueryEngine::persist() {
   // stall every concurrent query hashing into that shard.
   std::vector<recover::TreeArtifact> trees;
   std::vector<recover::PrunedSnapshotArtifact> snaps;
-  if (opts_.cache_trees) {
-    cache_.for_each_tree([&](ArtifactKind kind, vid_t v,
-                             const std::shared_ptr<const sssp::SsspResult>&
-                                 tree,
-                             std::uint64_t tgen) {
-      if (tgen != gen) return;  // stale generation: useless after restart
-      recover::TreeArtifact a;
-      a.fingerprint = fp;
-      a.root = v;
-      a.reverse = kind == ArtifactKind::kReverseTree;
-      a.tree = *tree;
-      trees.push_back(std::move(a));
-    });
-  }
+  // Trees: only a live engine holds any.
+  cache_.for_each_tree([&](ArtifactKind kind, vid_t v,
+                           const std::shared_ptr<const sssp::SsspResult>& tree,
+                           std::uint64_t tgen) {
+    if (tgen != gen) return;  // stale generation: useless after restart
+    recover::TreeArtifact a;
+    a.fingerprint = fp;
+    a.root = v;
+    a.reverse = kind == ArtifactKind::kReverseTree;
+    a.tree = *tree;
+    trees.push_back(std::move(a));
+  });
   if (opts_.cache_snapshots) {
     cache_.for_each_snapshot([&](vid_t, vid_t,
                                  const std::shared_ptr<PrunedSnapshot>& snap,
@@ -1299,7 +1302,14 @@ int QueryEngine::persist() {
         a.reachable = snap->graph != nullptr;
         if (snap->graph) {
           a.graph = *snap->graph;
-          a.map = snap->map;
+          // The v2 format carries both directions of the map.
+          a.map.new_to_old = snap->new_to_old;
+          a.map.old_to_new.assign(static_cast<size_t>(g->num_vertices()),
+                                  kNoVertex);
+          for (size_t i = 0; i < snap->new_to_old.size(); ++i) {
+            a.map.old_to_new[static_cast<size_t>(snap->new_to_old[i])] =
+                static_cast<vid_t>(i);
+          }
           if (snap->stream && snap->stream->has_reverse_tree()) {
             a.has_rtree = true;
             a.rtree = snap->stream->reverse_tree();

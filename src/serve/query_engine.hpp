@@ -6,13 +6,19 @@
 //      K <= its budget with zero graph work: K paths already produced is a
 //      pure lookup; otherwise the snapshot's live KspStream (incremental
 //      OptYen, ksp/stream.hpp) pulls just the missing paths.
-//   2. Tree hit      — the §4.1 forward tree (keyed on s) and/or reverse tree
-//      (keyed on t) skip one or both full-graph SSSPs inside pruning, which
-//      dominate PeeK's runtime (§7: ~95% of end-to-end time at K = 8).
-//   3. Coalescing    — duplicate in-flight (s, t) queries block on the first
+//   2. Coalescing    — duplicate in-flight (s, t) queries block on the first
 //      computation instead of repeating it (the thundering-herd guard).
-//   4. Full compute  — prune with an over-provisioned K budget (so nearby
-//      future Ks stay lookups), regeneration-compact, stream the paths.
+//   3. Full compute  — prune with an over-provisioned K budget (so nearby
+//      future Ks stay lookups), regeneration-compact, stream the paths. The
+//      serial prune's bounded search settles only the vertices the keep mask
+//      reads (DESIGN.md §5), so a miss never builds a full-graph SSSP tree.
+//
+// Full SSSP trees exist only where live invalidation reads them: a
+// live-mutation engine (below) caches the §4.1 forward tree (keyed on s) and
+// reverse tree (keyed on t), because its cone and pair-impact tests and its
+// background repairs need whole trees; a miss there reuses cached trees and
+// computes the ones it lacks. Other engines never compute, cache or persist
+// trees.
 //
 // Snapshots are always regeneration-compacted (§5.3): of the three §5
 // strategies it is the only one that yields a self-owned subgraph, which a
@@ -74,7 +80,7 @@ struct ServeOptions {
   /// of two (capped at INT_MAX), so the snapshot serves larger follow-up Ks
   /// without re-pruning.
   int k_budget_floor = 32;
-  bool cache_trees = true;
+  /// Off = every query runs plain core::peek_ksp (no snapshot, no trees).
   bool cache_snapshots = true;
   /// Deadline applied to queries that do not pass their own (<=0 = none).
   /// A tripped deadline returns Status::kDeadlineExceeded with the best
@@ -160,8 +166,8 @@ struct ServeResult {
   bool snapshot_hit = false;  // answered from a cached (s, t) snapshot
   bool extended = false;      // the snapshot's stream pulled extra paths
   bool coalesced = false;     // waited on an identical in-flight query
-  bool fwd_tree_hit = false;  // pruning reused the cached forward tree
-  bool rev_tree_hit = false;  // pruning reused the cached reverse tree
+  bool fwd_tree_hit = false;  // pruning reused the cached forward tree (live)
+  bool rev_tree_hit = false;  // pruning reused the cached reverse tree (live)
   bool uncached = false;      // served via plain PeeK (budget 0 / oversize)
   bool degraded = false;      // shed query answered from cached paths only
   /// ServeOptions::certify rejected the answer (status is kInternal): the
@@ -261,9 +267,10 @@ class QueryEngine {
   /// Bounded-staleness side-table occupancy (test hook).
   std::size_t stale_entries();
 
-  /// Spills every current-generation cached artifact (SSSP trees, pruned
-  /// snapshots) into ServeOptions::snapshot_dir as checksummed v2 snapshot
-  /// files, each published atomically (tmp + fsync + rename). Artifacts from
+  /// Spills every current-generation cached artifact (pruned snapshots, and
+  /// a live engine's SSSP trees) into ServeOptions::snapshot_dir as
+  /// checksummed v2 snapshot files, each published atomically (tmp + fsync +
+  /// rename). Artifacts from
   /// older generations are skipped — they would be stale on restore anyway.
   /// Returns the number of files written; write failures are counted in
   /// recover.write_failures and do not abort the sweep. No-op (returns 0)
@@ -338,7 +345,8 @@ class QueryEngine {
 
   /// The CSR to serve this query from (re-snapshots a dynamic source).
   std::shared_ptr<const graph::CsrGraph> active_graph();
-  /// Full pipeline on a miss; fills the tree-hit flags of `out`. Returns
+  /// Full pipeline on a miss; fills the tree-hit flags of `out` (live mode;
+  /// other engines use no trees). Returns
   /// null with out.status set when the pipeline was cancelled or failed —
   /// such partial artifacts are never cached.
   std::shared_ptr<PrunedSnapshot> compute_snapshot(const graph::CsrGraph& g,
@@ -365,7 +373,8 @@ class QueryEngine {
       PEEK_REQUIRES(snap.mu);
   /// Warm restart: scan + validate snapshot_dir, decode artifacts whose
   /// graph fingerprint matches, insert them into the cache. Quarantines
-  /// files that pass checksums but fail semantic decode.
+  /// files that pass checksums but fail semantic decode. A non-live engine
+  /// skips tree files and leaves them on disk.
   void restore_from_dir();
   /// Shed-path degraded answer: cached already-produced paths only, no graph
   /// work. False when nothing usable is cached.
@@ -393,7 +402,8 @@ class QueryEngine {
   /// Epoch-guarded artifact publication: in live mode, an artifact computed
   /// at `epoch0` may enter the cache only while the epoch is still epoch0
   /// (checked and inserted under dyn_mu_, so no sweep interleaves). Returns
-  /// false when the epoch moved — the caller's answer raced a batch.
+  /// false when the epoch moved — the caller's answer raced a batch. Trees
+  /// are published only in live mode.
   bool publish_tree(ArtifactKind kind, vid_t v,
                     const std::shared_ptr<const sssp::SsspResult>& tree,
                     std::uint64_t gen, std::uint64_t epoch0);

@@ -369,9 +369,12 @@ void ShardFleet::worker_loop(Replica& rep) {
         r.paths.back().dist += weight_t{1};
       }
     }
-    // Every real completion (served or bounced) feeds the EWMA; attempts
-    // cancelled before dispatch say nothing about this replica's health.
-    if (bounced || dispatched) {
+    // Every real completion (served or bounced) feeds the EWMA. An attempt
+    // cancelled before dispatch, or mid-run (a lost hedge race, a caller
+    // cancel), says nothing about this replica's health — as for a probe.
+    const bool abandoned =
+        dispatched && r.status.code == fault::Status::kCancelled;
+    if (bounced || (dispatched && !abandoned)) {
       HealthSignal sig;
       sig.ok = r.status.code == fault::Status::kOk;
       sig.timeout = r.status.code == fault::Status::kDeadlineExceeded;

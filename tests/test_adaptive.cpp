@@ -45,12 +45,33 @@ TEST(CountRemainingEdges, MatchesManualCount) {
             manual);
 }
 
+/// The pipeline's kAdaptive step (core::peek_with_algorithm): count m_r,
+/// apply the §5.4 rule, then compact with the chosen strategy.
+struct Adaptive {
+  Strategy strategy = Strategy::kEdgeSwap;
+  eid_t remaining_edges = 0;
+  RegeneratedGraph regenerated;  // strategy == kRegeneration
+};
+
+Adaptive adaptive(MutableCsr& g, eid_t m_original,
+                  const std::uint8_t* vertex_keep, double alpha = 0.5) {
+  Adaptive r;
+  r.remaining_edges = count_remaining_edges(g.view(), vertex_keep);
+  r.strategy = choose_strategy(r.remaining_edges, m_original, alpha);
+  if (r.strategy == Strategy::kRegeneration) {
+    r.regenerated = regenerate(g.view(), vertex_keep);
+  } else {
+    edge_swap_compact(g, vertex_keep);
+  }
+  return r;
+}
+
 TEST(AdaptiveCompact, SmallRemainderRegenerates) {
   auto g = test::random_graph(200, 2000, 93);
   MutableCsr mc(g);
   std::vector<std::uint8_t> keep(200, 0);
   for (vid_t v = 0; v < 10; ++v) keep[v] = 1;  // keep 5% of vertices
-  auto result = adaptive_compact(mc, g.num_edges(), keep.data());
+  auto result = adaptive(mc, g.num_edges(), keep.data());
   EXPECT_EQ(result.strategy, Strategy::kRegeneration);
   EXPECT_EQ(result.regenerated.graph.num_vertices(), 10);
   EXPECT_EQ(result.regenerated.graph.num_edges(), result.remaining_edges);
@@ -61,11 +82,11 @@ TEST(AdaptiveCompact, LargeRemainderEdgeSwaps) {
   MutableCsr mc(g);
   std::vector<std::uint8_t> keep(200, 1);
   keep[0] = 0;  // delete almost nothing
-  auto result = adaptive_compact(mc, g.num_edges(), keep.data());
+  auto result = adaptive(mc, g.num_edges(), keep.data());
   EXPECT_EQ(result.strategy, Strategy::kEdgeSwap);
   // The swapped view exposes the surviving graph.
-  EXPECT_FALSE(result.swapped.fwd.vertex_alive(0));
-  EXPECT_EQ(result.swapped.fwd.count_alive_edges(), result.remaining_edges);
+  EXPECT_FALSE(mc.view().vertex_alive(0));
+  EXPECT_EQ(mc.view().count_alive_edges(), result.remaining_edges);
 }
 
 TEST(AdaptiveCompact, BothStrategiesYieldSameSssp) {
@@ -75,20 +96,16 @@ TEST(AdaptiveCompact, BothStrategiesYieldSameSssp) {
   keep[0] = keep[1] = 1;
 
   MutableCsr swap_g(g);
-  AdaptiveOptions force_swap;
-  force_swap.alpha = 0.0;  // never regenerate
-  auto swapped = adaptive_compact(swap_g, g.num_edges(), keep.data(), nullptr,
-                                  force_swap);
+  // alpha = 0: never regenerate.
+  auto swapped = adaptive(swap_g, g.num_edges(), keep.data(), 0.0);
   ASSERT_EQ(swapped.strategy, Strategy::kEdgeSwap);
 
   MutableCsr regen_g(g);
-  AdaptiveOptions force_regen;
-  force_regen.alpha = 1.0;  // always regenerate
-  auto regen = adaptive_compact(regen_g, g.num_edges(), keep.data(), nullptr,
-                                force_regen);
+  // alpha = 1: always regenerate.
+  auto regen = adaptive(regen_g, g.num_edges(), keep.data(), 1.0);
   ASSERT_EQ(regen.strategy, Strategy::kRegeneration);
 
-  auto a = sssp::dijkstra(swapped.swapped.fwd, 0);
+  auto a = sssp::dijkstra(swap_g.view(), 0);
   auto b = sssp::dijkstra(sssp::GraphView(regen.regenerated.graph),
                           regen.regenerated.map.to_new(0));
   for (vid_t v = 0; v < 150; ++v) {

@@ -3,8 +3,9 @@
 
 Covers the contract the perf job relies on: a regression beyond tolerance
 fails, an improvement (or slowdown inside tolerance) passes, a metric
-dropped from the candidate fails, a schema mismatch is rejected before any
-numbers are compared, and a sanitized candidate skips with exit 0.
+dropped from the candidate fails, a schema or hardware_threads mismatch is
+rejected before any numbers are compared, and a sanitized candidate skips
+with exit 0.
 
 Run directly (python3 tests/test_bench_compare.py) or via ctest.
 """
@@ -189,6 +190,18 @@ class BenchCompareTest(unittest.TestCase):
         )
         self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
         self.assertIn("schema_version mismatch", r.stderr)
+
+    def test_hardware_threads_mismatch_fails(self):
+        base = make_doc()
+        cand = copy.deepcopy(base)
+        cand["machine"]["hardware_threads"] = 4
+        bp, cp = self.write("b.json", base), self.write("c.json", cand)
+        r = self.run_compare(bp, cp)
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
+        self.assertIn("hardware_threads mismatch", r.stderr)
+        # A new gate, not a loosened one: no flag gets past it.
+        r = self.run_compare(bp, cp, "--allow-graph-mismatch")
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
 
     def test_fingerprint_mismatch_fails_without_override(self):
         base = make_doc()

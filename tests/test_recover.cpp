@@ -20,6 +20,7 @@
 
 #include "core/peek.hpp"
 #include "dist/dist_peek.hpp"
+#include "dyn/dynamic_graph.hpp"
 #include "fault/injector.hpp"
 #include "graph/io.hpp"
 #include "obs/metrics.hpp"
@@ -357,13 +358,88 @@ TEST_F(RecoverTest, WarmRestartServesBitIdenticalAnswers) {
   ASSERT_EQ(r6.status.code, fault::Status::kOk);
   expect_exact_paths(r6.paths, serial6);
 
-  // A different target reuses the restored forward tree.
+  // A different target recomputes, bit-identically.
   auto rt = b.query(s, t + 1, 2);
   ASSERT_EQ(rt.status.code, fault::Status::kOk);
-  EXPECT_TRUE(rt.fwd_tree_hit);
   po.k = 2;
-  expect_exact_paths(rt.paths, core::peek_ksp(g, s, t + 1, po).ksp.paths);
+  const auto serial_t1 = core::peek_ksp(g, s, t + 1, po).ksp.paths;
+  expect_exact_paths(rt.paths, serial_t1);
   fs::remove_all(dir);
+
+  // Only live engines persist full trees (live invalidation reads them);
+  // a restarted live engine reuses the restored forward tree.
+  const auto live_dir = scratch_dir("warm_live");
+  dyn::DynamicGraph dg(g);
+  serve::ServeOptions lo;
+  lo.snapshot_dir = live_dir.string();
+  lo.live_mutations = true;
+  {
+    serve::QueryEngine a(dg, lo);
+    ASSERT_EQ(a.query(s, t, 3).status.code, fault::Status::kOk);
+    EXPECT_GT(a.persist(), 0);
+  }
+  serve::QueryEngine c(dg, lo);
+  auto lt = c.query(s, t + 1, 2);
+  ASSERT_EQ(lt.status.code, fault::Status::kOk);
+  EXPECT_TRUE(lt.fwd_tree_hit);
+  expect_exact_paths(lt.paths, serial_t1);
+  fs::remove_all(live_dir);
+}
+
+TEST_F(RecoverTest, SnapshotFileFromOlderWriterRestoresAndExtends) {
+  // tests/fixtures/recover_v2 holds what persist() wrote for the query above
+  // (random_graph(120, 960, 801), s = 0, t = 60, K = 3) when non-live
+  // engines still cached full trees and snapshots still kept the n-sized
+  // old_to_new map: the pruned snapshot and both trees.
+  const fs::path fixtures = fs::path(PEEK_TEST_FIXTURES) / "recover_v2";
+  const auto dir = scratch_dir("older_writer");
+  fs::copy(fixtures, dir);
+  const auto g = test::random_graph(120, 960, 801);
+  const vid_t s = 0, t = 60;
+  core::PeekOptions po;
+  po.k = 3;
+  const auto serial3 = core::peek_ksp(g, s, t, po).ksp.paths;
+  po.k = 6;
+  const auto serial6 = core::peek_ksp(g, s, t, po).ksp.paths;
+
+  serve::ServeOptions so;
+  so.snapshot_dir = dir.string();
+  serve::QueryEngine b(g, so);
+  // The snapshot restores; a non-live engine skips the tree files and
+  // leaves them on disk.
+  EXPECT_EQ(b.restored_artifacts(), 1);
+  EXPECT_TRUE(fs::exists(dir / "tree_f_0.snap"));
+  EXPECT_TRUE(fs::exists(dir / "tree_r_60.snap"));
+  int trees = 0;
+  b.cache().for_each_tree(
+      [&](serve::ArtifactKind, vid_t,
+          const std::shared_ptr<const sssp::SsspResult>&,
+          std::uint64_t) { ++trees; });
+  EXPECT_EQ(trees, 0);
+
+  auto r3 = b.query(s, t, 3);
+  ASSERT_EQ(r3.status.code, fault::Status::kOk);
+  EXPECT_TRUE(r3.snapshot_hit);
+  expect_exact_paths(r3.paths, serial3);
+  auto r6 = b.query(s, t, 6);
+  ASSERT_EQ(r6.status.code, fault::Status::kOk);
+  EXPECT_TRUE(r6.snapshot_hit);
+  EXPECT_TRUE(r6.extended);
+  expect_exact_paths(r6.paths, serial6);
+
+  // persist() rebuilds old_to_new from new_to_old: a fresh engine's file
+  // for the same query is byte-identical to the older writer's.
+  const auto fresh_dir = scratch_dir("older_writer_fresh");
+  so.snapshot_dir = fresh_dir.string();
+  {
+    serve::QueryEngine a(g, so);
+    ASSERT_EQ(a.query(s, t, 3).status.code, fault::Status::kOk);
+    EXPECT_EQ(a.persist(), 1);  // the snapshot only: no trees
+  }
+  EXPECT_EQ(slurp((fresh_dir / "snap_0_60.snap").string()),
+            slurp((fixtures / "snap_0_60.snap").string()));
+  fs::remove_all(dir);
+  fs::remove_all(fresh_dir);
 }
 
 TEST_F(RecoverTest, WarmRestartCanBeDisabled) {

@@ -1,6 +1,6 @@
 // Serving-layer tests: ArtifactCache mechanics (LRU, byte budget, sharding,
 // generation invalidation) and the cache-correctness property — every serve
-// path (cold miss, snapshot hit, stream extension, tree reuse, coalesced
+// path (cold miss, snapshot hit, stream extension, live tree reuse, coalesced
 // duplicate, dynamic re-snapshot, uncached fallback) must return answers
 // bit-identical to a fresh core::peek_ksp on the same query.
 #include <atomic>
@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include "core/peek.hpp"
+#include "dyn/dynamic_graph.hpp"
 #include "ksp/bruteforce.hpp"
+#include "obs/metrics.hpp"
 #include "serve/query_engine.hpp"
 #include "shard/fleet.hpp"
 #include "sssp/dijkstra.hpp"
@@ -154,8 +156,13 @@ TEST(QueryEngine, KBeyondBudgetRecomputesCorrectly) {
 }
 
 TEST(QueryEngine, SharedSourceAndTargetReuseTrees) {
+  // Only live-mutation engines hold full trees: their cone and pair-impact
+  // tests read them.
   auto g = test::random_graph(400, 4000, 5);
-  QueryEngine engine(g);
+  dyn::DynamicGraph dg(g);
+  ServeOptions so;
+  so.live_mutations = true;
+  QueryEngine engine(dg, so);
   engine.query(9, 100, 8);
   auto same_source = engine.query(9, 250, 8);
   EXPECT_TRUE(same_source.fwd_tree_hit);
@@ -163,6 +170,64 @@ TEST(QueryEngine, SharedSourceAndTargetReuseTrees) {
   auto same_target = engine.query(42, 100, 8);
   EXPECT_TRUE(same_target.rev_tree_hit);
   expect_identical(same_target.paths, fresh_peek(g, 42, 100, 8));
+}
+
+TEST(QueryEngine, StaticMissBuildsNoFullTrees) {
+  // A non-live miss prunes with the bounded search: no full tree is built,
+  // looked up or cached, even for queries sharing a source or a target.
+  auto g = test::random_graph(400, 4000, 5);
+  auto& reg = obs::MetricsRegistry::global();
+  for (const int k : {8, 32, 128}) {
+    QueryEngine engine(g);
+    const auto rounds_before = reg.counter("prune.bounded.rounds").value();
+    for (const auto& [s, t] : {std::pair<vid_t, vid_t>{9, 100}, {9, 250},
+                               {42, 100}}) {
+      auto r = engine.query(s, t, k);
+      ASSERT_EQ(r.status.code, fault::Status::kOk);
+      EXPECT_FALSE(r.snapshot_hit);
+      EXPECT_FALSE(r.fwd_tree_hit);
+      EXPECT_FALSE(r.rev_tree_hit);
+      expect_identical(r.paths, fresh_peek(g, s, t, k));
+    }
+    int trees = 0;
+    engine.cache().for_each_tree(
+        [&](ArtifactKind, vid_t,
+            const std::shared_ptr<const sssp::SsspResult>&,
+            std::uint64_t) { ++trees; });
+    EXPECT_EQ(trees, 0) << "k=" << k;
+    if constexpr (obs::kEnabled) {
+      EXPECT_GT(reg.counter("prune.bounded.rounds").value(), rounds_before)
+          << "k=" << k;
+    }
+  }
+}
+
+TEST(QueryEngine, SnapshotBytesGrowWithItsStream) {
+  // The cache charges a snapshot for its live stream too: extending it
+  // copies each new path into the stream's accepted and produced lists and
+  // its candidate pool, so the charge grows by more than the served paths.
+  auto g = test::random_graph(300, 2400, 7);
+  ServeOptions so;
+  so.k_budget_floor = 32;
+  QueryEngine engine(g, so);
+  engine.query(5, 150, 4);
+  auto snap = engine.cache().get_snapshot(5, 150, engine.generation());
+  ASSERT_NE(snap, nullptr);
+  const std::size_t before = snap->bytes();
+  auto r = engine.query(5, 150, 16);
+  ASSERT_TRUE(r.extended);
+  const std::size_t after = snap->bytes();
+  std::size_t added = 0;  // the served paths the extension appended
+  {
+    check::MutexLock lock(snap->mu);
+    ASSERT_EQ(snap->paths.size(), 16u);
+    for (size_t i = 4; i < snap->paths.size(); ++i) {
+      added += sizeof(sssp::Path) +
+               snap->paths[i].verts.capacity() * sizeof(vid_t);
+    }
+  }
+  ASSERT_GT(after, before);
+  EXPECT_GE(after - before, 2 * added);
 }
 
 TEST(QueryEngine, RandomizedBitIdentityAcrossAllServePaths) {

@@ -577,6 +577,48 @@ TEST(ShardFleet, CertFailureQuarantinesHealsAndReadmits) {
   std::filesystem::remove_all(snap_root, ec);
 }
 
+// An attempt cancelled after dispatch (a lost hedge race, or here a caller
+// cancel) is not a replica failure: however many there are, the breaker
+// stays closed and the next query is served.
+TEST(ShardFleet, CancelledAttemptsDoNotTripBreaker) {
+  const auto g = test_graph();
+  FleetOptions fo;
+  fo.router.shards = 1;
+  fo.replicas = 1;
+  fo.workers_per_replica = 1;
+  fault::InjectorConfig inj;
+  inj.enabled = true;
+  inj.seed = 3;
+  inj.rate_permille = 1000;  // every dispatched attempt stalls...
+  inj.stall = 20ms;          // ...long enough for the cancel to land mid-run
+  inj.site_filter = "shard.replica.stall";
+  fo.injector = inj;
+  {
+    ShardFleet fleet(g, fo);
+    const int rounds = 2 * fo.health.min_samples;
+    for (int i = 0; i < rounds; ++i) {
+      auto tok = fault::CancelToken::cancellable();
+      std::thread canceller([&tok] {
+        std::this_thread::sleep_for(5ms);
+        tok.cancel();
+      });
+      serve::QueryOptions qo;
+      qo.cancel = &tok;
+      auto r = fleet.query(1, 200, 4, qo);
+      canceller.join();
+      EXPECT_EQ(r.result.status.code, fault::Status::kCancelled) << i;
+    }
+    wait_drained(fleet);
+    EXPECT_EQ(fleet.breaker_state(0, 0), BreakerState::kClosed);
+    fault::Injector::global().disable();
+    auto r = fleet.query(1, 200, 4);
+    ASSERT_EQ(r.result.status.code, fault::Status::kOk)
+        << r.result.status.message;
+    expect_identical(r.result.paths, fresh_peek(g, 1, 200, 4));
+  }
+  fault::Injector::global().disable();
+}
+
 // Compound failure: hedging enabled, a replica hard-down, and a 1 ms
 // deadline all in the same query. Whatever wins the race must be typed —
 // kOk (bit-identical), kDeadlineExceeded (exact partial prefix), or

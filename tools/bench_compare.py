@@ -16,6 +16,9 @@ tail long before it moves the median.
 
 Guard rails before any numeric comparison:
   - both files must carry schema "peek-bench-v1" and equal schema_version;
+  - both files must record the same `machine.hardware_threads`: the
+    parallel rows scale with it, so runs on different thread counts measure
+    the machines, not the change (no override);
   - graph fingerprints must match (same name -> same fingerprint), otherwise
     the workloads ran on different inputs and the timings are meaningless —
     fail unless --allow-graph-mismatch;
@@ -88,6 +91,14 @@ def main():
               f"(baseline {base['schema_version']}, "
               f"candidate {cand['schema_version']}) — regenerate the "
               "baseline with the current bench driver", file=sys.stderr)
+        return 1
+
+    base_hw = base.get("machine", {}).get("hardware_threads")
+    cand_hw = cand.get("machine", {}).get("hardware_threads")
+    if base_hw != cand_hw:
+        print(f"bench_compare: hardware_threads mismatch (baseline "
+              f"{base_hw}, candidate {cand_hw}) — the runs measure different "
+              "machines; rerun the baseline on this one", file=sys.stderr)
         return 1
 
     base_fp = {g["name"]: g["fingerprint"] for g in base["graphs"]}
